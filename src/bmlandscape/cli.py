@@ -12,9 +12,9 @@ Exit codes: 0 success; 1 a verification ran and the property failed;
 Every emitted artifact embeds a run manifest (subcommand, resolved
 parameters, paths, tool version, timestamp).  The timestamp honors
 ``SOURCE_DATE_EPOCH`` when set and is null otherwise, keeping default runs
-byte-identical.  The thread count is deliberately left out of the trials
-manifest: results are schedule-independent, and embedding the schedule would
-break that promise at the byte level.
+byte-identical.  ``trials --threads`` is accepted for compatibility and has
+no effect (all trials run in one batch on one thread), so it is left out of
+the trials manifest.
 """
 
 from __future__ import annotations
@@ -345,8 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help=f"worker threads (default ${dynamics.THREADS_ENV} or core count); "
-        "results do not depend on this",
+        help="accepted for compatibility; has no effect",
     )
     p.add_argument("--csv", default=None, help="per-trial CSV path (default stdout)")
     p.add_argument("--summary", default=None, help="aggregate JSON path")

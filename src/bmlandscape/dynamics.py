@@ -9,23 +9,21 @@ tolerance), ``stuck`` when it is still pinned near the spurious value, and
 
 Determinism contract
 --------------------
-Reports are bitwise reproducible for a fixed master seed, independent of the
-thread count:
+Reports are bitwise reproducible for a fixed master seed:
 
 * each trial owns a private PCG64 stream derived from
   ``SeedSequence(master_seed, spawn_key=(trial,))``;
-* trials are stepped in fixed batches of ``TRIAL_BATCH`` whose layout never
-  depends on the thread count -- worker threads only pick up whole batches,
-  and every batch is a pure function of its inputs;
-* hot-loop contractions go through ``np.einsum(..., optimize=False)`` which
-  never re-routes through BLAS, so per-trial reduction order is a fixed
-  function of the operand shapes.
+* all trials run in one batch on one thread; a trial leaves the active set
+  as soon as it reaches the success tolerance (or diverges), and only the
+  active trials are stepped;
+* hot-loop contractions go through ``np.einsum(..., optimize=False)`` with
+  the batch axis outermost, which never re-routes through BLAS, so each
+  trial's arithmetic is exactly that of a solo run whatever else shares its
+  batch.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +41,6 @@ __all__ = [
     "sample_near",
 ]
 
-# Fixed batch width: the batch a trial lands in depends only on its id, so
-# the arithmetic (and hence the report) cannot depend on the thread count.
-TRIAL_BATCH = 25
-THREADS_ENV = "BMLANDSCAPE_THREADS"
 RNG_SPEC = "PCG64 via SeedSequence(master_seed, spawn_key=(trial,))"
 
 CSV_HEADER = "trial,seed,outcome,final_f,final_grad_norm,dist_to_spur,iters"
@@ -80,12 +74,12 @@ class TrialConfig:
                 f"search_rank {self.search_rank} is below the instance "
                 f"rank {self.instance.r}"
             )
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < np.inf:
+            raise ValueError("radius must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.trials < 1:
@@ -166,9 +160,13 @@ def nesterov_step(obj, x, v, lr, mom):
     g = np.asarray(obj.f_grad(x), dtype=float)
     if g.shape != x.shape:
         raise ValueError(f"gradient shape {g.shape} != iterate shape {x.shape}")
+    return _step(x, v, g, lr, mom)
+
+
+def _step(x, v, g, lr, mom):
+    """The update shared by ``nesterov_step`` and the trial engine."""
     v_next = mom * v - lr * g
-    x_next = x + mom * v_next - lr * g
-    return x_next, v_next
+    return x + mom * v_next - lr * g, v_next
 
 
 def sample_near(x_center, radius, seed):
@@ -184,8 +182,8 @@ def sample_near(x_center, radius, seed):
         raise ValueError("center must be a matrix")
     if not np.all(np.isfinite(center)):
         raise ValueError("center entries must be finite")
-    if not radius > 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < np.inf:
+        raise ValueError("radius must be positive and finite")
     rng = np.random.default_rng(seed)
     d = center.size
     while True:
@@ -220,37 +218,43 @@ def _grads(a_sym, x, c):
 
 
 def _run_batch(a_sym, m_star, x0, cfg):
-    """Drive one batch of trials until convergence or the iteration budget.
+    """Drive a batch of trials until each converges, diverges or runs out.
 
-    Finished trials are frozen in place by masking state writes; surviving
-    trials keep stepping on arithmetic identical to a solo run.  Returns the
-    final iterates and per-trial (f, grad norm, iterations) arrays.
+    Only the active trials' rows are stepped.  A trial leaves the active set
+    once its objective reaches ``success_tol`` or stops being finite, and its
+    state is written back then; trials still active at ``max_iters`` are
+    written back at the end.  Returns the final iterates and per-trial
+    (f, grad norm, iterations) arrays; a diverged trial keeps its non-finite
+    f and the iteration at which it appeared.
     """
-    x = np.array(x0, dtype=float)
+    x_out = np.array(x0, dtype=float)
+    c_out = _coeffs(a_sym, m_star, x_out)
+    f_out = _values(c_out)
+    iters = np.zeros(len(x_out), dtype=np.int64)
+    idx = np.flatnonzero(np.isfinite(f_out) & (f_out > cfg.success_tol))
+    x, c, f = x_out[idx], c_out[idx], f_out[idx]
     v = np.zeros_like(x)
-    c = _coeffs(a_sym, m_star, x)
-    f_cur = _values(c)
-    active = f_cur > cfg.success_tol
-    iters = np.where(active, cfg.max_iters, 0).astype(np.int64)
-    k = 0
-    while k < cfg.max_iters and bool(active.any()):
-        k += 1
-        g = _grads(a_sym, x, c)
-        v_next = cfg.momentum * v - cfg.learning_rate * g
-        x_next = x + cfg.momentum * v_next - cfg.learning_rate * g
-        mask = active[:, None, None]
-        np.copyto(v, v_next, where=mask)
-        np.copyto(x, x_next, where=mask)
-        c_next = _coeffs(a_sym, m_star, x)
-        f_next = _values(c_next)
-        np.copyto(c, c_next, where=active[:, None])
-        np.copyto(f_cur, f_next, where=active)
-        done = active & (f_cur <= cfg.success_tol)
-        iters[done] = k
-        active &= ~done
-    g_fin = _grads(a_sym, x, c)
-    gnorm = np.sqrt(np.einsum("bij,bij->b", g_fin, g_fin, optimize=False))
-    return x, f_cur, gnorm, iters
+    # overflow in a diverging trial is expected; it is caught by the
+    # finiteness test and reported by run_trials
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = 0
+        while idx.size and k < cfg.max_iters:
+            k += 1
+            x, v = _step(x, v, _grads(a_sym, x, c), cfg.learning_rate, cfg.momentum)
+            c = _coeffs(a_sym, m_star, x)
+            f = _values(c)
+            keep = np.isfinite(f) & (f > cfg.success_tol)
+            if not keep.all():
+                left = ~keep
+                done = idx[left]
+                x_out[done], c_out[done], f_out[done] = x[left], c[left], f[left]
+                iters[done] = k
+                idx, x, v, c, f = idx[keep], x[keep], v[keep], c[keep], f[keep]
+        x_out[idx], c_out[idx], f_out[idx] = x, c, f
+        iters[idx] = cfg.max_iters
+        g_fin = _grads(a_sym, x_out, c_out)
+        gnorm = np.sqrt(np.einsum("bij,bij->b", g_fin, g_fin, optimize=False))
+    return x_out, f_out, gnorm, iters
 
 
 def _classify(f: float, success_tol: float, stuck_tol: float) -> str:
@@ -261,35 +265,19 @@ def _classify(f: float, success_tol: float, stuck_tol: float) -> str:
     return "undetermined"
 
 
-def _resolve_threads(threads):
-    if threads is None:
-        env = os.environ.get(THREADS_ENV)
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{THREADS_ENV} must be an integer, got {env!r}"
-                ) from exc
-        else:
-            threads = os.cpu_count() or 1
-    if threads < 1:
-        raise ValueError("thread count must be at least 1")
-    return threads
-
-
 def run_trials(cfg: TrialConfig, threads: int | None = None) -> TrialReport:
     """Run the full escape experiment described by ``cfg``.
 
     The spurious factor (and every sampled initial point) is padded with zero
-    columns up to ``cfg.search_rank``.  ``threads`` defaults to the
-    ``BMLANDSCAPE_THREADS`` environment variable or, failing that, the
-    available core count; the report is bitwise identical for every choice.
+    columns up to ``cfg.search_rank``.  ``threads`` is accepted for
+    compatibility and has no effect beyond validation: all trials run in one
+    batch on the calling thread.  Raises ``ValueError`` when a trial
+    diverges, naming the earliest one.
     """
-    threads = _resolve_threads(threads)
+    if threads is not None and threads < 1:
+        raise ValueError("thread count must be at least 1")
     obj = cfg.instance.objective
     a_sym = 0.5 * (obj.measurements + obj.measurements.transpose(0, 2, 1))
-    m_star = obj.m_star
     n = obj.n
     pad = cfg.search_rank - cfg.instance.r
     spur = np.hstack([cfg.instance.x_spur, np.zeros((n, pad))])
@@ -301,41 +289,38 @@ def run_trials(cfg: TrialConfig, threads: int | None = None) -> TrialReport:
         seeds.append(int(ss.generate_state(1, dtype=np.uint64)[0]))
         x0[t] = sample_near(spur, cfg.radius, np.random.default_rng(ss))
 
-    spans = [
-        (lo, min(lo + TRIAL_BATCH, cfg.trials))
-        for lo in range(0, cfg.trials, TRIAL_BATCH)
-    ]
-
-    def job(span):
-        lo, hi = span
-        return _run_batch(a_sym, m_star, x0[lo:hi], cfg)
-
-    if threads == 1 or len(spans) == 1:
-        parts = [job(span) for span in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(job, spans))
+    x_fin, f_fin, g_fin, iters = _run_batch(a_sym, obj.m_star, x0, cfg)
+    bad = np.flatnonzero(~np.isfinite(f_fin))
+    if bad.size:
+        t = int(bad[np.argmin(iters[bad])])
+        if iters[t] == 0:
+            raise ValueError(
+                f"trial {t} diverged (non-finite objective) at its initial "
+                "point; lower the radius"
+            )
+        raise ValueError(
+            f"trial {t} diverged (non-finite objective) at iteration "
+            f"{iters[t]}; lower the learning rate"
+        )
+    diff = x_fin - spur
+    dist = np.sqrt(np.einsum("bij,bij->b", diff, diff, optimize=False))
 
     records = []
     counts = {"success": 0, "stuck": 0, "undetermined": 0}
-    for (lo, hi), (x_fin, f_fin, g_fin, iters) in zip(spans, parts):
-        diff = x_fin - spur
-        dist = np.sqrt(np.einsum("bij,bij->b", diff, diff, optimize=False))
-        for off in range(hi - lo):
-            t = lo + off
-            outcome = _classify(float(f_fin[off]), cfg.success_tol, cfg.stuck_tol)
-            counts[outcome] += 1
-            records.append(
-                TrialRecord(
-                    trial=t,
-                    seed=seeds[t],
-                    outcome=outcome,
-                    final_f=float(f_fin[off]),
-                    final_grad_norm=float(g_fin[off]),
-                    dist_to_spur=float(dist[off]),
-                    iters=int(iters[off]),
-                )
+    for t in range(cfg.trials):
+        outcome = _classify(float(f_fin[t]), cfg.success_tol, cfg.stuck_tol)
+        counts[outcome] += 1
+        records.append(
+            TrialRecord(
+                trial=t,
+                seed=seeds[t],
+                outcome=outcome,
+                final_f=float(f_fin[t]),
+                final_grad_norm=float(g_fin[t]),
+                dist_to_spur=float(dist[t]),
+                iters=int(iters[t]),
             )
+        )
     return TrialReport(
         records=tuple(records),
         successes=counts["success"],

@@ -9,7 +9,6 @@ from bmlandscape.cli import main
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
-    monkeypatch.delenv("BMLANDSCAPE_THREADS", raising=False)
 
 
 def run(capsys, *argv):

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from bmlandscape import counterexample as ce, dynamics
+from bmlandscape.cli import main
+
+# the engine's tests must run free of numerical warnings
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SEED = 42
 
@@ -43,9 +47,12 @@ def test_config_rejects_search_rank_below_instance_rank():
     [
         ("learning_rate", 0.0),
         ("learning_rate", -1e-3),
+        ("learning_rate", np.inf),
+        ("learning_rate", np.nan),
         ("momentum", 1.0),
         ("momentum", -0.1),
         ("radius", 0.0),
+        ("radius", np.inf),
         ("max_iters", -1),
         ("trials", 0),
         ("master_seed", -1),
@@ -123,30 +130,20 @@ def test_sample_near_validation():
     with pytest.raises(ValueError):
         dynamics.sample_near(np.zeros((2, 2)), 0.0, 1)
     with pytest.raises(ValueError):
+        dynamics.sample_near(np.zeros((2, 2)), np.inf, 1)
+    with pytest.raises(ValueError):
         dynamics.sample_near(np.zeros(4), 1.0, 1)
     with pytest.raises(ValueError):
         dynamics.sample_near(np.full((2, 2), np.nan), 1.0, 1)
 
 
-# -- classification and thread resolution ----------------------------------------
+# -- classification ----------------------------------------------------------------
 
 
 def test_classify_boundaries():
     assert dynamics._classify(1e-6, 1e-6, 0.1) == "success"
     assert dynamics._classify(0.1, 1e-6, 0.1) == "stuck"
     assert dynamics._classify(1e-3, 1e-6, 0.1) == "undetermined"
-
-
-def test_resolve_threads_env(monkeypatch):
-    monkeypatch.setenv(dynamics.THREADS_ENV, "3")
-    assert dynamics._resolve_threads(None) == 3
-    monkeypatch.setenv(dynamics.THREADS_ENV, "three")
-    with pytest.raises(ValueError, match=dynamics.THREADS_ENV):
-        dynamics._resolve_threads(None)
-    monkeypatch.delenv(dynamics.THREADS_ENV)
-    assert dynamics._resolve_threads(None) >= 1
-    with pytest.raises(ValueError):
-        dynamics._resolve_threads(0)
 
 
 # -- batch engine ------------------------------------------------------------------
@@ -163,6 +160,22 @@ def test_batch_returns_immediately_at_global_minimum():
     assert iters[0] == 0
     assert f_fin[0] <= cfg.success_tol
     assert np.array_equal(x_fin, x0)
+
+
+def test_batch_equals_solo_runs_when_trials_leave_early():
+    # trials 9..14 at seed 42 escape after 3675..4952 steps at rank 3, so a
+    # budget of 3900 lets four of them leave the active set and holds two
+    cfg = small_config(search_rank=3, max_iters=3900)
+    obj = cfg.instance.objective
+    a_sym = 0.5 * (obj.measurements + obj.measurements.transpose(0, 2, 1))
+    seqs = [np.random.SeedSequence(SEED, spawn_key=(t,)) for t in range(9, 15)]
+    x0 = np.stack([dynamics.sample_near(cfg.instance.x_spur, cfg.radius, s) for s in seqs])
+    batch = dynamics._run_batch(a_sym, obj.m_star, x0, cfg)
+    assert 0 < np.count_nonzero(batch[3] < cfg.max_iters) < len(x0)
+    for t in range(len(x0)):
+        solo = dynamics._run_batch(a_sym, obj.m_star, x0[t : t + 1], cfg)
+        for whole, single in zip(batch, solo):
+            assert np.array_equal(whole[t : t + 1], single)
 
 
 # -- full experiment ----------------------------------------------------------------
@@ -204,6 +217,49 @@ def test_report_identical_across_thread_counts():
     base = dynamics.run_trials(cfg, threads=1).to_csv()
     for threads in (2, 4, 7):
         assert dynamics.run_trials(cfg, threads=threads).to_csv() == base
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        (dict(learning_rate=1.0), r"at iteration \d+; lower the learning rate"),
+        (dict(radius=1e200), "at its initial point; lower the radius"),
+    ],
+)
+def test_diverging_trials_raise(overrides, message):
+    cfg = small_config(trials=3, max_iters=200, **overrides)
+    prefix = r"trial \d diverged \(non-finite objective\) "
+    with pytest.raises(ValueError, match=prefix + message):
+        dynamics.run_trials(cfg)
+
+
+def _cli_trials(capsys, tmp_path, *extra):
+    inst = tmp_path / "inst.json"
+    build = ["build", "--n", "4", "--r", "2", "--rstar", "1", "--out", str(inst)]
+    assert main(build) == 0
+    csv_path, summary_path = tmp_path / "runs.csv", tmp_path / "runs.json"
+    capsys.readouterr()
+    rc = main([
+        "trials", "--instance", str(inst), "--search-rank", "2", "--trials", "3",
+        "--max-iters", "100", "--csv", str(csv_path), "--summary", str(summary_path),
+        *extra,
+    ])
+    err = capsys.readouterr().err
+    assert not csv_path.exists() and not summary_path.exists()
+    return rc, err
+
+
+def test_cli_diverging_trials_exit_2_without_artifacts(capsys, tmp_path):
+    rc, err = _cli_trials(capsys, tmp_path, "--lr", "1")
+    assert rc == 2
+    assert err.startswith("error: trial ") and "lower the learning rate" in err
+    assert "Traceback" not in err
+
+
+def test_cli_rejects_zero_threads(capsys, tmp_path):
+    rc, err = _cli_trials(capsys, tmp_path, "--threads", "0")
+    assert rc == 2
+    assert "thread count" in err
 
 
 def test_seed_column_follows_spawn_key_contract():
