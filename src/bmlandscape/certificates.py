@@ -52,6 +52,12 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 
+# SDPA export realizes the block-3 matrices of H coordinates in chunks of at
+# most this many float64 entries (128 KiB).  Much smaller chunks pay numpy's
+# per-call overhead every few elements; larger ones exceed glibc's 128 KiB
+# mmap threshold and fault in fresh pages on every chunk.
+SDPA_CHUNK_ENTRIES = 1 << 14
+
 # Residual names measured as norms (feasible iff <= tol); all other
 # residuals are smallest eigenvalues (feasible iff >= -tol).
 NORM_RESIDUALS = frozenset(
@@ -349,18 +355,82 @@ def _format_entry(matno: int, blkno: int, i: int, j: int, value: float) -> str:
     return f"{matno} {blkno} {i} {j} {serialize.format_float(value)}"
 
 
+def _emit_entries(entries: list, matno: int, blkno: int, rows, cols, values) -> None:
+    """Append one entry per (0-based) ``rows[k], cols[k], values[k]``."""
+    entries.extend(
+        _format_entry(matno, blkno, i + 1, j + 1, value)
+        for i, j, value in zip(rows, cols, values)
+    )
+
+
 def _emit_block(entries: list, matno: int, blkno: int, mat: np.ndarray) -> None:
-    m = np.asarray(mat)
-    for i in range(m.shape[0]):
-        for j in range(i, m.shape[1]):
-            if m[i, j] != 0.0:
-                entries.append(_format_entry(matno, blkno, i + 1, j + 1, m[i, j]))
+    _, rows, cols, values = _split_nonzero(np.triu(mat)[None])
+    _emit_entries(entries, matno, blkno, rows, cols, values)
 
 
 def _emit_diag(entries: list, matno: int, blkno: int, values) -> None:
-    for idx, value in enumerate(values):
-        if value != 0.0:
-            entries.append(_format_entry(matno, blkno, idx + 1, idx + 1, value))
+    _, idx, _, diag = _split_nonzero(np.asarray(values, dtype=float)[None])
+    _emit_entries(entries, matno, blkno, idx, idx, diag)
+
+
+def _paired(grad: np.ndarray) -> np.ndarray:
+    """Interleave ``grad`` and ``-grad`` along the last axis."""
+    out = np.empty(grad.shape[:-1] + (2 * grad.shape[-1],))
+    out[..., 0::2] = grad
+    out[..., 1::2] = -grad
+    return out
+
+
+def _h_coordinate_blocks(cert: CertificateSDP, u: np.ndarray, v: np.ndarray):
+    """Block-3 and block-5 data of the H basis elements ``B`` at ``(u, v)``.
+
+    Each element has at most two nonzero entries, so ``J_X^T B J_X`` is a
+    scaled sum of outer products of rows of ``J_X``, ``B e`` holds two scaled
+    entries of ``e``, and ``I_r (x) mat(B e)`` repeats the symmetric part of
+    ``mat(B e)`` down the diagonal blocks.  Returns ``(scale, lmi, grad)``
+    stacked over the elements, with ``grad[t] = J_X^T vec(B e)``.
+    """
+    n, r = cert.n, cert.r
+    k = u.size
+    diag = u == v
+    scale = np.where(diag, 1.0, 1.0 / math.sqrt(2.0))
+    vec_be = np.zeros((k, n * n))
+    vec_be[np.arange(k), u] = scale * cert.e[v]
+    vec_be[np.arange(k), v] = scale * cert.e[u]
+    # C-order reshape of vec(B e) is mat(B e)^T; only the symmetric part is used
+    mat_t = vec_be.reshape(k, n, n)
+    s2 = 2.0 * (0.5 * (mat_t.transpose(0, 2, 1) + mat_t))
+    if cert.which == "lb":
+        lmi = np.zeros((k, n * r, n * r))
+    else:
+        outer = cert.j_x[u][:, :, None] * cert.j_x[v][:, None, :]
+        lmi = outer + outer.transpose(0, 2, 1)
+        np.copyto(lmi, outer, where=diag[:, None, None])
+        lmi *= scale[:, None, None]
+    blocks = lmi.reshape(k, r, n, r, n)
+    blocks[:, np.arange(r), :, np.arange(r), :] += s2
+    # One matrix-vector product per element, on a freshly allocated vector: a
+    # batched matrix product may sum in another order and change digits.
+    grad = np.array([cert.j_x.T @ row.copy() for row in vec_be])
+    return scale, lmi, grad
+
+
+def _split_nonzero(a: np.ndarray, mask: np.ndarray | None = None):
+    """Nonzero entries of each ``a[t]`` (a vector or a matrix), row-major.
+
+    Only positions where ``mask`` (broadcast against ``a[t]``) is true count.
+    Returns ``(ends, rows, cols, values)``: lists over all entries in order,
+    with ``a[t]`` owning the slice ``ends[t-1]:ends[t]``; a vector's entry
+    ``i`` is reported at ``(i, i)``.
+    """
+    nz = a != 0.0
+    if mask is not None:
+        nz &= mask
+    flat = np.flatnonzero(nz)
+    t, pos = np.divmod(flat, a[0].size)
+    rows, cols = np.divmod(pos, a.shape[-1]) if a.ndim == 3 else (pos, pos)
+    ends = np.searchsorted(t, np.arange(1, a.shape[0] + 1))
+    return ends.tolist(), rows.tolist(), cols.tolist(), a.reshape(-1)[flat].tolist()
 
 
 def sdpa_lines(cert: CertificateSDP, comments=()) -> list[str]:
@@ -388,7 +458,6 @@ def sdpa_lines(cert: CertificateSDP, comments=()) -> list[str]:
     )
 
     entries: list[str] = []
-    e_vec = cert.e
     # F_0: only block 1 has a right-hand side (the identity from H - I).
     _emit_diag(entries, 0, 1, np.ones(n2))
 
@@ -401,56 +470,35 @@ def sdpa_lines(cert: CertificateSDP, comments=()) -> list[str]:
     _emit_diag(entries, 2, 4, [0.0, 1.0])
 
     # H coordinates over the orthonormal symmetric basis, enumerated as
-    # index pairs (u <= v) of the n^2 space in lexicographic order.  Each
-    # element has at most two nonzero entries, so J_X^T B J_X reduces to
-    # outer products of rows of J_X and B e to two scaled entries of e.
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    # index pairs (u <= v) of the n^2 space in lexicographic order and
+    # realized in chunks of about SDPA_CHUNK_ENTRIES block-3 positions.
+    us, vs = np.triu_indices(n2)
+    upper = np.triu(np.ones((nr, nr), dtype=bool))
+    step = max(1, SDPA_CHUNK_ENTRIES // (nr * nr))
     var = 2
-    for u in range(n2):
-        for v in range(u, n2):
+    for start in range(0, n_h, step):
+        u, v = us[start : start + step], vs[start : start + step]
+        scale, lmi, grad = _h_coordinate_blocks(cert, u, v)
+        ends3, rows3, cols3, vals3 = _split_nonzero(lmi, upper)
+        ends5, rows5, _, vals5 = _split_nonzero(_paired(grad))
+        lo3 = lo5 = 0
+        for t, (hi3, hi5) in enumerate(zip(ends3, ends5)):
             var += 1
-            scale = 1.0 if u == v else inv_sqrt2
-            entries.append(_format_entry(var, 1, u + 1, v + 1, scale))
-            entries.append(_format_entry(var, 2, u + 1, v + 1, -scale))
-            vec_be = np.zeros(n2)
-            if u == v:
-                vec_be[u] = e_vec[u]
-            else:
-                vec_be[u] = scale * e_vec[v]
-                vec_be[v] = scale * e_vec[u]
-            kron_part = 2.0 * np.kron(np.eye(r), as_symmetric(unvec(vec_be, n)))
-            if lb:
-                lmi = kron_part
-            else:
-                ju, jv = cert.j_x[u, :], cert.j_x[v, :]
-                if u == v:
-                    quad = scale * np.outer(ju, ju)
-                else:
-                    quad = scale * (np.outer(ju, jv) + np.outer(jv, ju))
-                lmi = quad + kron_part
-            _emit_block(entries, var, 3, lmi)
-            grad = cert.j_x.T @ vec_be
-            paired = np.empty(2 * nr)
-            paired[0::2] = grad
-            paired[1::2] = -grad
-            _emit_diag(entries, var, 5, paired)
+            i, j, sc = int(u[t]) + 1, int(v[t]) + 1, float(scale[t])
+            entries.append(_format_entry(var, 1, i, j, sc))
+            entries.append(_format_entry(var, 2, i, j, -sc))
+            _emit_entries(entries, var, 3, rows3[lo3:hi3], cols3[lo3:hi3], vals3[lo3:hi3])
+            _emit_entries(entries, var, 5, rows5[lo5:hi5], rows5[lo5:hi5], vals5[lo5:hi5])
+            lo3, lo5 = hi3, hi5
 
     # Slack coordinates (lb only).
     for t, c_mat in enumerate(basis_s):
         var = 3 + n_h + t
         s_vec = vec(c_mat)
         _emit_block(entries, var, 3, 2.0 * np.kron(np.eye(r), c_mat))
-        grad = cert.j_x.T @ s_vec
-        paired = np.empty(2 * nr)
-        paired[0::2] = grad
-        paired[1::2] = -grad
-        _emit_diag(entries, var, 5, paired)
+        _emit_diag(entries, var, 5, _paired(cert.j_x.T @ s_vec))
         _emit_block(entries, var, 6, c_mat)
-        grad_z = cert.j_z.T @ s_vec
-        paired_z = np.empty(2 * n * r_star)
-        paired_z[0::2] = grad_z
-        paired_z[1::2] = -grad_z
-        _emit_diag(entries, var, 7, paired_z)
+        _emit_diag(entries, var, 7, _paired(cert.j_z.T @ s_vec))
 
     return lines + entries
 

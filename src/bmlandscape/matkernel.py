@@ -1,9 +1,8 @@
 """Dense symmetric-matrix kernels used throughout the package.
 
-Everything here operates on plain ``numpy`` arrays.  Dimensions in this
-package stay small (a few hundred at most), so the eigensolver is a cyclic
-Jacobi iteration — slow compared to LAPACK on large inputs but simple,
-deterministic, and accurate to the off-diagonal mass threshold it is given.
+Everything here operates on plain ``numpy`` arrays.  The eigensolver is
+LAPACK's symmetric ``eigh`` behind a descending-order wrapper; the
+pseudo-inverse is numpy's SVD-based one with an explicit rank cutoff.
 
 Conventions:
     * ``vec`` is column-stacking; ``unvec`` is its inverse.
@@ -15,28 +14,19 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "as_symmetric",
     "as_factor",
     "sym_eig",
-    "psd_project",
     "pinv",
     "vec",
     "unvec",
     "jacobian_apply",
     "jacobian_matrix",
-    "JacobianOperator",
     "residual_projector",
 ]
-
-# Relative off-diagonal mass at which a Jacobi sweep is declared converged.
-JACOBI_TOL = 1e-14
-# Quadratic convergence makes this bound generous for any sane input.
-JACOBI_MAX_SWEEPS = 64
 
 # Singular values below PINV_TOL_SCALE * max(rows, cols) * sigma_max are
 # treated as zero when forming a pseudo-inverse.
@@ -63,78 +53,21 @@ def as_factor(x) -> np.ndarray:
     return a
 
 
-def sym_eig(s, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eig(s):
+    """Eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
     Returns ``(w, v)`` with ``w`` descending and ``v`` the matching
-    orthonormal eigenvector columns.  Converged when the off-diagonal
-    Frobenius mass drops below ``tol * ||S||_F``.
+    orthonormal eigenvector columns.  A 1x1 or zero matrix is answered
+    exactly, with ``v`` the identity.
     """
-    a = as_symmetric(s).copy()
+    a = as_symmetric(s)
     n = a.shape[0]
-    v = np.eye(n)
     if n == 1:
-        return a[0, :1].copy(), v
-    base = float(np.linalg.norm(a))
-    if base == 0.0:
-        return np.zeros(n), v
-
-    for _ in range(max_sweeps):
-        # Sum the off-diagonal entries directly: the ||A||^2 - ||diag||^2
-        # shortcut cancels catastrophically and floors near sqrt(eps)*||A||.
-        if np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2)) <= tol * base:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                if abs(theta) > 1e150:  # theta**2 would overflow; use the limit
-                    t = 0.5 / theta
-                elif theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * c
-
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - sn * col_q
-                a[:, q] = sn * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sn * row_q
-                a[q, :] = sn * row_p + c * row_q
-                # the (p,q) rotation annihilates the pivot by construction;
-                # write the exact update to shed round-off
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - sn * vec_q
-                v[:, q] = sn * vec_p + c * vec_q
-    else:
-        raise ArithmeticError(
-            f"Jacobi iteration did not converge in {max_sweeps} sweeps"
-        )
-
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")[::-1]
-    return w[order], v[:, order]
-
-
-def psd_project(s) -> np.ndarray:
-    """Nearest (Frobenius) positive-semidefinite matrix to sym(S)."""
-    w, v = sym_eig(s)
-    w = np.clip(w, 0.0, None)
-    proj = (v * w) @ v.T
-    return 0.5 * (proj + proj.T)
+        return a[0, :1].copy(), np.eye(1)
+    if not a.any():
+        return np.zeros(n), np.eye(n)
+    w, v = np.linalg.eigh(a)
+    return w[::-1], v[:, ::-1]
 
 
 def pinv(a, tol_scale: float = PINV_TOL_SCALE) -> np.ndarray:
@@ -179,39 +112,20 @@ def jacobian_apply(x, v) -> np.ndarray:
 
 
 def jacobian_matrix(x) -> np.ndarray:
-    """Dense ``(n^2, n*r)`` matrix of ``vec(V) -> vec(X V^T + V X^T)``."""
+    """Dense ``(n^2, n*r)`` matrix of ``vec(V) -> vec(X V^T + V X^T)``.
+
+    Column ``c*n + i`` is ``vec(x[:, c] e_i^T + e_i x[:, c]^T)``: entry
+    ``(a, i)`` holds ``x[a, c]``, entry ``(i, b)`` holds ``x[b, c]``, and the
+    diagonal entry ``(i, i)`` holds their sum.
+    """
     x = as_factor(x)
     n, r = x.shape
-    j = np.zeros((n * n, n * r))
-    for col in range(r):
-        xj = x[:, col]
-        for row in range(n):
-            m = np.zeros((n, n))
-            m[:, row] += xj
-            m[row, :] += xj
-            j[:, col * n + row] = m.flatten(order="F")
-    return j
-
-
-@dataclass(frozen=True)
-class JacobianOperator:
-    """The factorization Jacobian at a fixed factor ``X``."""
-
-    x: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_factor(self.x))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n, r = self.x.shape
-        return (n * n, n * r)
-
-    def apply(self, v) -> np.ndarray:
-        return jacobian_apply(self.x, v)
-
-    def matrix(self) -> np.ndarray:
-        return jacobian_matrix(self.x)
+    idx = np.arange(n)
+    # j[b, a, c, i] = d vec(X V^T + V X^T)[a + b*n] / d vec(V)[i + c*n]
+    j = np.zeros((n, n, r, n))
+    j[idx, :, :, idx] += x  # the column term x[:, c] e_i^T
+    j[:, idx, :, idx] += x  # the row term e_i x[:, c]^T
+    return j.reshape(n * n, n * r)
 
 
 def residual_projector(x) -> np.ndarray:

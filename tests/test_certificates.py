@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -191,6 +192,37 @@ def test_sdpa_lines_deterministic_and_commented():
     second = certs.sdpa_lines(cert, comments=("run A",))
     assert first == second
     assert first[0] == "* run A"
+
+
+# sha256 of "\n".join(sdpa_lines(cert)) + "\n", computed with the per-entry
+# loop emitter that the array version replaced: any changed byte fails here.
+SDPA_SHA256 = {
+    ((4, 2, 1), None, "ub"): "f67f84c7f1d4837c087c7042221b3e2ffa38e8b17cdd836641a8f4896c40c613",
+    ((4, 2, 1), None, "lb"): "d5e01f442407040a499f904ae8ce9c3950ea2c034efe2a0d17b0d17c005a15e6",
+    ((5, 3, 2), None, "ub"): "c0695efb5e99e20b2864c8fbc910c1d725810663682016502fad05fedd5553ff",
+    ((5, 3, 2), None, "lb"): "6d332625cb75b3578ecc6182295e2cbb81f9add5adbca1998241f80931090eae",
+    ((4, 2, 1), 3, "ub"): "a72baace66273c64b4f7303341bc5e673810aab37d56102dba8632033d4e0fff",
+    ((4, 2, 1), 3, "lb"): "e6a8b54a50cf9958ade5ab50275244ac661a072614176488d5f0ef49fec25fa1",
+}
+
+
+@pytest.mark.parametrize(
+    "dims,basis_seed,which",
+    list(SDPA_SHA256),
+    ids=[
+        "x".join(map(str, dims)) + ("-standard" if seed is None else f"-random{seed}") + f"-{which}"
+        for dims, seed, which in SDPA_SHA256
+    ],
+)
+def test_sdpa_bytes_pinned(dims, basis_seed, which):
+    if basis_seed is None:
+        inst = ce.build(*dims)
+    else:
+        inst = ce.build(*dims, basis_mode="random", seed=basis_seed)
+    cert = certs.assemble(inst.x_spur, inst.z, which)
+    text = "\n".join(certs.sdpa_lines(cert)) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == SDPA_SHA256[(dims, basis_seed, which)]
 
 
 def test_export_sdpa_byte_identical(tmp_path):

@@ -99,6 +99,19 @@ def test_verify_passes_on_built_instance(capsys, tmp_path):
     assert record["gap_formula"] == pytest.approx(1.5857864376269049, abs=1e-12)
 
 
+def test_verify_random_basis_n10_passes_without_warnings(capsys, tmp_path):
+    # a dense 60x60 Hessian; RuntimeWarnings are errors throughout tests/
+    path = tmp_path / "inst.json"
+    rc, _, _ = run(
+        capsys, "build", "--n", "10", "--r", "6", "--rstar", "2",
+        "--basis", "random", "--seed", "0", "--out", str(path),
+    )
+    assert rc == 0
+    rc, out, err = run(capsys, "verify", "--instance", str(path))
+    assert rc == 0 and err == ""
+    assert json.loads(out)["passed"] is True
+
+
 def test_verify_fails_on_tampered_instance(capsys, tmp_path):
     path = build_instance(capsys, tmp_path)
     record = json.loads(path.read_text())

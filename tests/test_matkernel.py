@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from bmlandscape.matkernel import (
-    JacobianOperator,
     as_factor,
     as_symmetric,
     jacobian_apply,
     jacobian_matrix,
     pinv,
-    psd_project,
     residual_projector,
     sym_eig,
     unvec,
@@ -100,20 +98,7 @@ def test_sym_eig_zero_and_scalar():
     assert w[0] == 7.0 and v[0, 0] == 1.0
 
 
-# -- psd projection and pseudo-inverse ---------------------------------------
-
-
-def test_psd_project_clips_negative_modes():
-    s = np.diag([2.0, -3.0])
-    p = psd_project(s)
-    assert np.allclose(p, np.diag([2.0, 0.0]), atol=1e-14)
-
-
-def test_psd_project_fixed_point_on_psd():
-    rng = np.random.default_rng(RNG_SEED)
-    g = rng.standard_normal((5, 3))
-    s = g @ g.T
-    assert np.linalg.norm(psd_project(s) - s) <= 1e-12 * np.linalg.norm(s)
+# -- pseudo-inverse -----------------------------------------------------------
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (5, 2), (2, 5)])
@@ -156,6 +141,20 @@ def test_jacobian_matrix_matches_apply(n, r):
     assert np.linalg.norm(dense - direct) <= 1e-13 * max(1.0, np.linalg.norm(direct))
 
 
+@pytest.mark.parametrize("n,r", CASES)
+def test_jacobian_matrix_columns_equal_apply_on_unit_directions(n, r):
+    # column c*n + i is J_X applied to E_ic, bit for bit: every entry is one
+    # x[a, c] or a sum of two
+    rng = np.random.default_rng(RNG_SEED + 10 * n + r)
+    x = rng.standard_normal((n, r))
+    j = jacobian_matrix(x)
+    for c in range(r):
+        for i in range(n):
+            e_ic = np.zeros((n, r))
+            e_ic[i, c] = 1.0
+            assert np.array_equal(j[:, c * n + i], vec(jacobian_apply(x, e_ic)))
+
+
 def test_jacobian_is_first_order_exact():
     # X -> XX^T is quadratic: finite difference equals the Jacobian exactly
     rng = np.random.default_rng(2)
@@ -165,15 +164,6 @@ def test_jacobian_is_first_order_exact():
     lhs = (x + t * v) @ (x + t * v).T - x @ x.T
     rhs = t * jacobian_apply(x, v) + t * t * (v @ v.T)
     assert np.linalg.norm(lhs - rhs) <= 1e-13
-
-
-def test_jacobian_operator_wrapper():
-    x = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-    op = JacobianOperator(x)
-    assert op.shape == (9, 6)
-    v = np.ones((3, 2))
-    assert np.array_equal(op.apply(v), jacobian_apply(x, v))
-    assert np.array_equal(op.matrix(), jacobian_matrix(x))
 
 
 def symmetrizer(n):
