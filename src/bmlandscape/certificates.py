@@ -85,36 +85,6 @@ class CertificateSDP:
     j_x: np.ndarray  # n^2 x (n r)
     j_z: np.ndarray  # n^2 x (n r_star)
 
-    def to_obj(self) -> dict:
-        return {
-            "kind": "certificate_sdp",
-            "which": self.which,
-            "n": self.n,
-            "r": self.r,
-            "r_star": self.r_star,
-            "x": serialize.matrix_to_lists(self.x),
-            "z": serialize.matrix_to_lists(self.z),
-            "e": list(self.e),
-            "j_x": serialize.matrix_to_lists(self.j_x),
-            "j_z": serialize.matrix_to_lists(self.j_z),
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "CertificateSDP":
-        if obj.get("kind") != "certificate_sdp":
-            raise ValueError("record is not an assembled certificate system")
-        return cls(
-            n=int(obj["n"]),
-            r=int(obj["r"]),
-            r_star=int(obj["r_star"]),
-            which=str(obj["which"]),
-            x=serialize.matrix_from_lists(obj["x"]),
-            z=serialize.matrix_from_lists(obj["z"]),
-            e=np.asarray(obj["e"], dtype=float),
-            j_x=serialize.matrix_from_lists(obj["j_x"]),
-            j_z=serialize.matrix_from_lists(obj["j_z"]),
-        )
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:
@@ -192,10 +162,6 @@ def _check_h(cert: CertificateSDP, h) -> np.ndarray:
     return h
 
 
-def _kron_identity_with(mat_block: np.ndarray, r: int) -> np.ndarray:
-    return np.kron(np.eye(r), mat_block)
-
-
 def verify_ub(cert: CertificateSDP, kappa: float, h, tol: float = DEFAULT_TOL) -> FeasibilityReport:
     """Check (kappa, H) against the ub system; returns all four residuals.
 
@@ -207,7 +173,7 @@ def verify_ub(cert: CertificateSDP, kappa: float, h, tol: float = DEFAULT_TOL) -
     h = _check_h(cert, h)
     eigs, _ = sym_eig(as_symmetric(h))
     s_he = as_symmetric(unvec(h @ cert.e, cert.n))
-    lmi = cert.j_x.T @ h @ cert.j_x + 2.0 * _kron_identity_with(s_he, cert.r)
+    lmi = cert.j_x.T @ h @ cert.j_x + 2.0 * np.kron(np.eye(cert.r), s_he)
     residuals = {
         "h_minus_identity": float(eigs[-1]) - 1.0,
         "kappa_identity_minus_h": float(kappa) - float(eigs[0]),
@@ -230,7 +196,7 @@ def verify_lb(
     eigs, _ = sym_eig(as_symmetric(h))
     combined = h @ cert.e + s
     s_comb = as_symmetric(unvec(combined, cert.n))
-    lmi = kappa * (cert.j_x.T @ cert.j_x) + 2.0 * _kron_identity_with(s_comb, cert.r)
+    lmi = kappa * (cert.j_x.T @ cert.j_x) + 2.0 * np.kron(np.eye(cert.r), s_comb)
     residuals = {
         "h_minus_identity": float(eigs[-1]) - 1.0,
         "kappa_identity_minus_h": float(kappa) - float(eigs[0]),

@@ -31,7 +31,6 @@ __all__ = [
     "verify_spurious",
     "eigen_pairs",
     "padded_escape",
-    "rescaled_pair",
 ]
 
 # Global scale applied to both factors.  The fourth root of two is what makes
@@ -74,8 +73,16 @@ class CounterexampleInstance:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "CounterexampleInstance":
-        if obj.get("kind") != "counterexample":
+        if not isinstance(obj, dict) or obj.get("kind") != "counterexample":
             raise ValueError("record is not a counterexample instance")
+        factors = {}
+        for name in ("x_spur", "z"):
+            f = serialize.matrix_from_lists(obj[name])
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = f @ f.T
+            if not np.all(np.isfinite(gram)):
+                raise ValueError(f"Gram matrix {name} {name}^T overflows float64")
+            factors[name] = f
         return cls(
             n=int(obj["n"]),
             r=int(obj["r"]),
@@ -85,8 +92,8 @@ class CounterexampleInstance:
             basis_mode=str(obj["basis_mode"]),
             seed=int(obj["seed"]),
             basis=serialize.matrix_from_lists(obj["basis"]),
-            x_spur=serialize.matrix_from_lists(obj["x_spur"]),
-            z=serialize.matrix_from_lists(obj["z"]),
+            x_spur=factors["x_spur"],
+            z=factors["z"],
             objective=QuadraticObjective.from_obj(obj["objective"]),
         )
 
@@ -223,19 +230,3 @@ def padded_escape(instance: CounterexampleInstance):
     curvature = -2.0 * instance.kappa * SCALE**2 / (1.0 + math.sqrt(instance.q))
     return x_padded, direction, curvature
 
-
-def rescaled_pair(instance: CounterexampleInstance):
-    """The same factor pair in its alternative normalization.
-
-    Scales the ground-truth column to norm ``sqrt(1 + sqrt(q))`` and the
-    stuck block to unit columns; useful when exercising bound computations
-    whose inputs are stated in that normalization.
-    """
-    u = instance.basis
-    q = instance.q
-    root = np.sqrt(1.0 + np.sqrt(q))
-    x1 = u[:, 1 : q + 1]
-    z2 = root * u[:, q + 1 : instance.r + 1]
-    x = np.hstack([x1, z2])
-    z = np.hstack([root * u[:, :1], z2])
-    return x, z

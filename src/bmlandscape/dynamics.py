@@ -16,10 +16,13 @@ Reports are bitwise reproducible for a fixed master seed:
 * all trials run in one batch on one thread; a trial leaves the active set
   as soon as it reaches the success tolerance (or diverges), and only the
   active trials are stepped;
-* hot-loop contractions go through ``np.einsum(..., optimize=False)`` with
-  the batch axis outermost, which never re-routes through BLAS, so each
+* the hot loop contracts the measurements only through the objective's
+  batched kernels (``residual_coeffs``, ``values``, ``grads`` in
+  :mod:`bmlandscape.objective`): each is ``np.einsum(..., optimize=False)``
+  with the batch axis outermost, which never re-routes through BLAS, so each
   trial's arithmetic is exactly that of a solo run whatever else shares its
-  batch.
+  batch, and a trial's f and gradient equal the objective's single-factor
+  ``f_eval`` and ``f_grad`` (the batch-of-one case) bit for bit.
 """
 
 from __future__ import annotations
@@ -196,40 +199,23 @@ def sample_near(x_center, radius, seed):
 
 
 # -- batched trial engine ---------------------------------------------------
-#
-# f(X) = 1/2 sum_k <A_k, X X^T - M*>^2 evaluated for a whole batch at once.
-# All contractions keep the batch axis on the outside, so each trial's
-# numbers are exactly what a solo run would produce.
 
 
-def _coeffs(a_sym, m_star, x):
-    """Residual coefficients <A_k, X_b X_b^T - M*> for a batch of factors."""
-    p = np.einsum("bik,bjk->bij", x, x, optimize=False)
-    return np.einsum("kij,bij->bk", a_sym, p - m_star, optimize=False)
-
-
-def _values(c):
-    return 0.5 * np.einsum("bk,bk->b", c, c, optimize=False)
-
-
-def _grads(a_sym, x, c):
-    s = np.einsum("bk,kij->bij", c, a_sym, optimize=False)
-    return 2.0 * np.einsum("bij,bjk->bik", s, x, optimize=False)
-
-
-def _run_batch(a_sym, m_star, x0, cfg):
+def _run_batch(obj, x0, cfg):
     """Drive a batch of trials until each converges, diverges or runs out.
 
-    Only the active trials' rows are stepped.  A trial leaves the active set
-    once its objective reaches ``success_tol`` or stops being finite, and its
-    state is written back then; trials still active at ``max_iters`` are
-    written back at the end.  Returns the final iterates and per-trial
-    (f, grad norm, iterations) arrays; a diverged trial keeps its non-finite
-    f and the iteration at which it appeared.
+    Every f and gradient comes from the batched kernels of ``obj``, the
+    instance's :class:`QuadraticObjective`.  Only the active trials' rows
+    are stepped.  A trial leaves the active set once its objective reaches
+    ``success_tol`` or stops being finite, and its state is written back
+    then; trials still active at ``max_iters`` are written back at the end.
+    Returns the final iterates and per-trial (f, grad norm, iterations)
+    arrays; a diverged trial keeps its non-finite f and the iteration at
+    which it appeared.
     """
     x_out = np.array(x0, dtype=float)
-    c_out = _coeffs(a_sym, m_star, x_out)
-    f_out = _values(c_out)
+    c_out = obj.residual_coeffs(x_out)
+    f_out = obj.values(c_out)
     iters = np.zeros(len(x_out), dtype=np.int64)
     idx = np.flatnonzero(np.isfinite(f_out) & (f_out > cfg.success_tol))
     x, c, f = x_out[idx], c_out[idx], f_out[idx]
@@ -240,9 +226,9 @@ def _run_batch(a_sym, m_star, x0, cfg):
         k = 0
         while idx.size and k < cfg.max_iters:
             k += 1
-            x, v = _step(x, v, _grads(a_sym, x, c), cfg.learning_rate, cfg.momentum)
-            c = _coeffs(a_sym, m_star, x)
-            f = _values(c)
+            x, v = _step(x, v, obj.grads(x, c), cfg.learning_rate, cfg.momentum)
+            c = obj.residual_coeffs(x)
+            f = obj.values(c)
             keep = np.isfinite(f) & (f > cfg.success_tol)
             if not keep.all():
                 left = ~keep
@@ -252,7 +238,7 @@ def _run_batch(a_sym, m_star, x0, cfg):
                 idx, x, v, c, f = idx[keep], x[keep], v[keep], c[keep], f[keep]
         x_out[idx], c_out[idx], f_out[idx] = x, c, f
         iters[idx] = cfg.max_iters
-        g_fin = _grads(a_sym, x_out, c_out)
+        g_fin = obj.grads(x_out, c_out)
         gnorm = np.sqrt(np.einsum("bij,bij->b", g_fin, g_fin, optimize=False))
     return x_out, f_out, gnorm, iters
 
@@ -277,7 +263,6 @@ def run_trials(cfg: TrialConfig, threads: int | None = None) -> TrialReport:
     if threads is not None and threads < 1:
         raise ValueError("thread count must be at least 1")
     obj = cfg.instance.objective
-    a_sym = 0.5 * (obj.measurements + obj.measurements.transpose(0, 2, 1))
     n = obj.n
     pad = cfg.search_rank - cfg.instance.r
     spur = np.hstack([cfg.instance.x_spur, np.zeros((n, pad))])
@@ -289,7 +274,7 @@ def run_trials(cfg: TrialConfig, threads: int | None = None) -> TrialReport:
         seeds.append(int(ss.generate_state(1, dtype=np.uint64)[0]))
         x0[t] = sample_near(spur, cfg.radius, np.random.default_rng(ss))
 
-    x_fin, f_fin, g_fin, iters = _run_batch(a_sym, obj.m_star, x0, cfg)
+    x_fin, f_fin, g_fin, iters = _run_batch(obj, x0, cfg)
     bad = np.flatnonzero(~np.isfinite(f_fin))
     if bad.size:
         t = int(bad[np.argmin(iters[bad])])

@@ -9,6 +9,15 @@ restricted to symmetric ``M``.  The factored form is ``f(X) = phi(X X^T)``
 for an ``n x r`` factor ``X``.  Measurement matrices are stored exactly as
 given (possibly unsymmetric); every formula applies them through their
 symmetric part, and the raw stack stays available for certificate work.
+
+This module is the only code that contracts the measurement stack.  Values,
+gradients and the ``S = grad phi(X X^T)`` term come from batched kernels
+(``coeffs``, ``residual_coeffs``, ``values``, ``combine``, ``grads``) that
+take a leading batch axis; the trial engine calls them on whole batches and
+the single-factor methods (``f_eval``, ``f_grad``, ``phi_eval``,
+``phi_grad``, ``hess_apply``, ``f_hess_quadform``, ``f_hess_matrix``) are
+their batch-of-one case, so both report bitwise the same numbers.  The
+curvature constants come from the ``n^2 x n^2`` matrix ``gram_symmetric``.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .matkernel import as_factor, as_symmetric, jacobian_matrix, sym_eig, vec
+from .matkernel import as_factor, as_symmetric, jacobian_matrix, sym_eig
 
 __all__ = ["QuadraticObjective", "SecondOrderReport", "symmetric_basis"]
 
@@ -91,10 +100,43 @@ class QuadraticObjective:
         self.ground_truth = z
         self.n = n1
         self.r_star = z.shape[1]
-        self.m_star = z @ z.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            m_star = z @ z.T
+        if not np.all(np.isfinite(m_star)):
+            raise ValueError("ground-truth Gram matrix Z Z^T overflows float64")
+        self.m_star = m_star
         self._sym = 0.5 * (stack + stack.transpose(0, 2, 1))
         self._gram_sym = None
         self._bounds = None
+
+    # -- batched contractions --------------------------------------------
+    #
+    # A leading batch axis b holds independent points.  Each kernel is one
+    # np.einsum(..., optimize=False) with the batch axis outermost, which
+    # never re-routes through BLAS, so each point's numbers are the same
+    # whatever else shares its batch.
+
+    def coeffs(self, m) -> np.ndarray:
+        """Measurement coefficients <A_k, M_b> of a batch of matrices."""
+        return np.einsum("kij,bij->bk", self._sym, m, optimize=False)
+
+    def residual_coeffs(self, x) -> np.ndarray:
+        """Residual coefficients <A_k, X_b X_b^T - M*> of a batch of factors."""
+        p = np.einsum("bik,bjk->bij", x, x, optimize=False)
+        return self.coeffs(p - self.m_star)
+
+    @staticmethod
+    def values(c) -> np.ndarray:
+        """Objective values 1/2 sum_k c_bk^2 from residual coefficients."""
+        return 0.5 * np.einsum("bk,bk->b", c, c, optimize=False)
+
+    def combine(self, c) -> np.ndarray:
+        """Matrices sum_k c_bk A_k from a batch of coefficient vectors."""
+        return np.einsum("bk,kij->bij", c, self._sym, optimize=False)
+
+    def grads(self, x, c) -> np.ndarray:
+        """Gradients 2 S_b X_b of f, given X's residual coefficients."""
+        return 2.0 * np.einsum("bij,bjk->bik", self.combine(c), x, optimize=False)
 
     # -- curvature -----------------------------------------------------
 
@@ -109,15 +151,15 @@ class QuadraticObjective:
 
     def measurement_gram(self) -> np.ndarray:
         """Gram matrix sum_k vec(A_k) vec(A_k)^T of the *raw* measurements."""
-        flat = np.stack([vec(a) for a in self.measurements])
+        # row k is vec(A_k): the column-stacking of A_k is the row-major A_k^T
+        flat = self.measurements.transpose(0, 2, 1).reshape(len(self.measurements), -1)
         return flat.T @ flat
 
     def smoothness_bounds(self) -> tuple[float, float]:
         """Extreme curvatures (mu, L) of phi over symmetric matrices."""
         if self._bounds is None:
-            basis = symmetric_basis(self.n)
-            coeff = np.array([[np.vdot(b, a) for a in self._sym] for b in basis])
-            w, _ = sym_eig(coeff @ coeff.T)
+            basis = np.reshape(symmetric_basis(self.n), (-1, self.n * self.n))
+            w, _ = sym_eig(basis @ self.gram_symmetric @ basis.T)
             mu, big = float(w[-1]), float(w[0])
             if mu <= 1e-12:
                 raise ValueError(
@@ -131,21 +173,19 @@ class QuadraticObjective:
     def _residual(self, m_mat) -> np.ndarray:
         return as_symmetric(m_mat) - self.m_star
 
+    def _apply(self, m) -> np.ndarray:
+        """sum_k <A_k, M> A_k for one matrix."""
+        return self.combine(self.coeffs(m[None]))[0]
+
     def phi_eval(self, m_mat) -> float:
-        e = self._residual(m_mat)
-        coeffs = np.tensordot(self._sym, e, axes=([1, 2], [0, 1]))
-        return 0.5 * float(coeffs @ coeffs)
+        return float(self.values(self.coeffs(self._residual(m_mat)[None]))[0])
 
     def phi_grad(self, m_mat) -> np.ndarray:
-        e = self._residual(m_mat)
-        coeffs = np.tensordot(self._sym, e, axes=([1, 2], [0, 1]))
-        return np.tensordot(coeffs, self._sym, axes=1)
+        return self._apply(self._residual(m_mat))
 
     def hess_apply(self, e_mat) -> np.ndarray:
         """Hessian of phi applied to a symmetric direction (constant in M)."""
-        e = as_symmetric(e_mat)
-        coeffs = np.tensordot(self._sym, e, axes=([1, 2], [0, 1]))
-        return np.tensordot(coeffs, self._sym, axes=1)
+        return self._apply(as_symmetric(e_mat))
 
     # -- factored-space evaluations --------------------------------------
 
@@ -155,13 +195,17 @@ class QuadraticObjective:
             raise ValueError(f"factor has {x.shape[0]} rows, expected {self.n}")
         return x
 
+    def _s_term(self, x) -> np.ndarray:
+        """S = grad phi(X X^T) for one checked factor."""
+        return self.combine(self.residual_coeffs(x[None]))[0]
+
     def f_eval(self, x) -> float:
         x = self._check_factor(x)
-        return self.phi_eval(x @ x.T)
+        return float(self.values(self.residual_coeffs(x[None]))[0])
 
     def f_grad(self, x) -> np.ndarray:
-        x = self._check_factor(x)
-        return 2.0 * self.phi_grad(x @ x.T) @ x
+        xb = self._check_factor(x)[None]
+        return self.grads(xb, self.residual_coeffs(xb))[0]
 
     def f_hess_quadform(self, x, v) -> float:
         """Quadratic form <hess f(X)[V], V> along a direction V."""
@@ -169,7 +213,7 @@ class QuadraticObjective:
         v = self._check_factor(v)
         if v.shape != x.shape:
             raise ValueError(f"direction shape {v.shape} != factor shape {x.shape}")
-        s = self.phi_grad(x @ x.T)
+        s = self._s_term(x)
         w = x @ v.T + v @ x.T
         return 2.0 * float(np.vdot(s, v @ v.T)) + float(np.vdot(self.hess_apply(w), w))
 
@@ -178,7 +222,7 @@ class QuadraticObjective:
         x = self._check_factor(x)
         r = x.shape[1]
         j = jacobian_matrix(x)
-        s = self.phi_grad(x @ x.T)
+        s = self._s_term(x)
         h = j.T @ self.gram_symmetric @ j + 2.0 * np.kron(np.eye(r), s)
         return 0.5 * (h + h.T)
 

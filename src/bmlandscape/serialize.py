@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "format_float",
     "dumps",
-    "save_json",
     "load_json",
     "matrix_to_lists",
     "matrix_from_lists",
@@ -96,11 +95,6 @@ def dumps(obj: Any, indent: int = 2) -> str:
     _emit(obj, out, indent, 0)
     out.append("\n")
     return "".join(out)
-
-
-def save_json(path: str, obj: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
 
 
 def load_json(path: str) -> Any:

@@ -149,6 +149,54 @@ def test_verify_wrong_record_kind(capsys, tmp_path):
     assert "not a counterexample" in err
 
 
+# -- instance files that load but are not usable ------------------------------
+
+
+def instance_subcommand(name, path, tmp_path):
+    return {
+        "verify": ["verify", "--instance", str(path)],
+        "bounds": ["bounds", "--instance", str(path)],
+        "export": [
+            "export", "--instance", str(path), "--which", "ub",
+            "--out", str(tmp_path / "cert.dat-s"),
+        ],
+        "trials": [
+            "trials", "--instance", str(path), "--search-rank", "3",
+            "--trials", "2", "--max-iters", "5",
+        ],
+    }[name]
+
+
+SUBCOMMANDS = ("verify", "bounds", "export", "trials")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("payload", ["[]", '"x"', "5", "null"])
+def test_non_object_instance_is_input_error(capsys, tmp_path, command, payload):
+    path = tmp_path / "inst.json"
+    path.write_text(payload)
+    rc, _, err = run(capsys, *instance_subcommand(command, path, tmp_path))
+    assert rc == 2
+    assert err.startswith("error:") and "not a counterexample" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("field", ["x_spur", "z", "Z"])
+def test_overflowing_factor_gram_is_input_error(capsys, tmp_path, command, field):
+    # entries of 1e160 are finite, their products are not; RuntimeWarnings
+    # are errors throughout tests/, so none may be raised on the way
+    path = build_instance(capsys, tmp_path, n=4, r=2, rstar=1)
+    record = json.loads(path.read_text())
+    owner = record["objective"] if field == "Z" else record
+    owner[field] = [[1e160 * v for v in row] for row in owner[field]]
+    path.write_text(json.dumps(record))
+    rc, _, err = run(capsys, *instance_subcommand(command, path, tmp_path))
+    assert rc == 2
+    assert err.startswith("error:") and "overflows" in err
+    assert not (tmp_path / "cert.dat-s").exists()
+
+
 # -- bounds ------------------------------------------------------------------
 
 

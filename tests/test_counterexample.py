@@ -125,24 +125,6 @@ def test_padded_escape_direction_has_negative_curvature():
     assert np.linalg.norm(inst.objective.f_grad(x_pad)) <= 1e-12
 
 
-def test_rescaled_pair_structure():
-    inst = ce.build(5, 3, 2)
-    x, z = ce.rescaled_pair(inst)
-    root = math.sqrt(1.0 + math.sqrt(inst.q))
-    assert x.shape == inst.x_spur.shape
-    assert z.shape == inst.z.shape
-    # first block: unit columns u_1..u_q; truth column scaled to norm root
-    assert np.array_equal(x[:, : inst.q], inst.basis[:, 1 : inst.q + 1])
-    assert np.allclose(z[:, 0], root * inst.basis[:, 0])
-    # trailing block is shared between the pair
-    assert np.array_equal(x[:, inst.q :], z[:, 1:])
-    # same column spans as the built pair (projector comparison)
-    for a, b in ((x, inst.x_spur), (z, inst.z)):
-        pa = a @ np.linalg.pinv(a)
-        pb = b @ np.linalg.pinv(b)
-        assert np.linalg.norm(pa - pb) <= 1e-12
-
-
 def test_instance_round_trip():
     inst = ce.build(5, 3, 2, basis_mode="random", seed=11)
     back = ce.CounterexampleInstance.from_obj(inst.to_obj())
@@ -156,4 +138,10 @@ def test_from_obj_rejects_wrong_kind():
     record = ce.build(4, 2, 1).to_obj()
     record["kind"] = "something-else"
     with pytest.raises(ValueError):
+        ce.CounterexampleInstance.from_obj(record)
+
+
+@pytest.mark.parametrize("record", [[], "x", 5, None])
+def test_from_obj_rejects_non_object(record):
+    with pytest.raises(ValueError, match="not a counterexample"):
         ce.CounterexampleInstance.from_obj(record)

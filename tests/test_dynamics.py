@@ -148,12 +148,10 @@ def test_classify_boundaries():
 
 def test_batch_returns_immediately_at_global_minimum():
     inst = ce.build(5, 3, 2)
-    obj = inst.objective
-    a_sym = 0.5 * (obj.measurements + obj.measurements.transpose(0, 2, 1))
     pad = np.zeros((5, 2))
     x0 = np.hstack([inst.z, pad])[None, :, :]
     cfg = small_config()
-    x_fin, f_fin, g_fin, iters = dynamics._run_batch(a_sym, obj.m_star, x0, cfg)
+    x_fin, f_fin, g_fin, iters = dynamics._run_batch(inst.objective, x0, cfg)
     assert iters[0] == 0
     assert f_fin[0] <= cfg.success_tol
     assert np.array_equal(x_fin, x0)
@@ -164,15 +162,31 @@ def test_batch_equals_solo_runs_when_trials_leave_early():
     # budget of 3900 lets four of them leave the active set and holds two
     cfg = small_config(search_rank=3, max_iters=3900)
     obj = cfg.instance.objective
-    a_sym = 0.5 * (obj.measurements + obj.measurements.transpose(0, 2, 1))
     seqs = [np.random.SeedSequence(SEED, spawn_key=(t,)) for t in range(9, 15)]
     x0 = np.stack([dynamics.sample_near(cfg.instance.x_spur, cfg.radius, s) for s in seqs])
-    batch = dynamics._run_batch(a_sym, obj.m_star, x0, cfg)
+    batch = dynamics._run_batch(obj, x0, cfg)
     assert 0 < np.count_nonzero(batch[3] < cfg.max_iters) < len(x0)
     for t in range(len(x0)):
-        solo = dynamics._run_batch(a_sym, obj.m_star, x0[t : t + 1], cfg)
+        solo = dynamics._run_batch(obj, x0[t : t + 1], cfg)
         for whole, single in zip(batch, solo):
             assert np.array_equal(whole[t : t + 1], single)
+
+
+def test_batch_step_equals_single_factor_api():
+    # the engine's first step and objective value are the objective's
+    # batch-of-one kernels: nesterov_step (via f_grad) and f_eval agree bitwise
+    cfg = small_config(max_iters=1)
+    obj = cfg.instance.objective
+    spur = np.hstack([cfg.instance.x_spur, np.zeros((5, 1))])
+    x0 = np.stack([dynamics.sample_near(spur, cfg.radius, SEED + t) for t in range(4)])
+    x_out, f_out, _, iters = dynamics._run_batch(obj, x0, cfg)
+    assert np.all(iters == 1)
+    for t in range(len(x0)):
+        x_solo, _ = dynamics.nesterov_step(
+            obj, x0[t], np.zeros_like(x0[t]), cfg.learning_rate, cfg.momentum
+        )
+        assert np.array_equal(x_out[t], x_solo)
+        assert np.array_equal(f_out[t], obj.f_eval(x_out[t]))
 
 
 # -- full experiment ----------------------------------------------------------------

@@ -71,6 +71,8 @@ def test_constructor_rejects_bad_shapes():
         QuadraticObjective(np.ones((2, 2, 2)), z)  # row mismatch
     with pytest.raises(ValueError):
         QuadraticObjective(np.full((1, 3, 3), np.nan), z)
+    with pytest.raises(ValueError, match="overflows"):
+        QuadraticObjective(np.ones((1, 3, 3)), 1e160 * z)  # finite Z, infinite Z Z^T
 
 
 def test_attributes():
@@ -128,6 +130,9 @@ def test_measurement_gram_definition():
     obj, _ = make_objective(3, 1, 5, SEED + 5)
     want = sum(np.outer(vec(a), vec(a)) for a in obj.measurements)
     assert np.linalg.norm(obj.measurement_gram() - want) <= 1e-12
+    # bitwise: the certificate checks and SDPA export consume this matrix
+    flat = np.stack([vec(a) for a in obj.measurements])
+    assert np.array_equal(obj.measurement_gram(), flat.T @ flat)
 
 
 def test_asymmetric_measurements_act_through_symmetric_part():

