@@ -13,6 +13,16 @@ both systems, verifies explicit certificates against them, checks the
 analytic eigenpairs of the constructed hard instances, builds the dual
 alignment witness, and exports the systems in SDPA sparse format for
 external solvers.
+
+The export touches only what can be nonzero.  A basis element ``B`` of the
+H coordinates has at most two nonzero entries, at ``(u, v)`` and ``(v, u)``,
+and a row of ``J_X`` at most ``2r``, so the block-3 matrix
+``J_X^T B J_X + 2 I_r (x) sym(mat(B e))`` is evaluated only at the pairs of
+``supp J[u] x supp J[v]`` and the few diagonal-block positions of
+``mat(B e)``: at most ``4r^2 + 2r`` upper-triangle candidates instead of
+``(nr)^2`` dense positions.  Entry lines are joined from strings that are
+formatted once each: a distinct value once per file, a ``var blk`` head and
+an ``i j`` position once per chunk of elements.
 """
 
 from __future__ import annotations
@@ -52,11 +62,15 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 
-# SDPA export realizes the block-3 matrices of H coordinates in chunks of at
-# most this many float64 entries (128 KiB).  Much smaller chunks pay numpy's
-# per-call overhead every few elements; larger ones exceed glibc's 128 KiB
-# mmap threshold and fault in fresh pages on every chunk.
-SDPA_CHUNK_ENTRIES = 1 << 14
+# SDPA export realizes the H coordinates in chunks of about this many
+# float64 values (64 KiB).  Per basis element it holds vec(B e) (n^2 values),
+# the paired gradient (2nr) and its block-3 candidates: 2r, plus w^2 for ub
+# with w <= 2r the widest row support of J_X.  A chunk covers 35 elements of
+# a dense-basis (7,5,2) ub system and 34 of the standard-basis (10,6,2) one.
+# Each chunk pays a fixed numpy overhead: the benchmark's six exports took
+# 1.15x as long at 2^12 as at 2^13.  At 2^14 the peak RSS of a
+# certify_export pass was 0.8 MB higher.
+SDPA_CHUNK_ENTRIES = 1 << 13
 
 # Residual names measured as norms (feasible iff <= tol); all other
 # residuals are smallest eigenvalues (feasible iff >= -tol).
@@ -130,7 +144,10 @@ def assemble(x, z, which: str) -> CertificateSDP:
         raise ValueError(
             f"factors must share their row count, got {x.shape} and {z.shape}"
         )
-    e = vec(x @ x.T - z @ z.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = vec(x @ x.T - z @ z.T)
+    if not np.all(np.isfinite(e)):
+        raise ValueError("residual X X^T - Z Z^T overflows float64")
     if np.linalg.norm(e) <= 1e-12:
         raise ValueError(
             "factor pair has identical Gram matrices; the systems require "
@@ -317,26 +334,71 @@ def cos_theta_witness(x, z, tau: float, tol: float = DEFAULT_TOL):
 #   7: -(2nr*)  (lb only) paired inequalities for J_Z^T s = 0
 
 
-def _format_entry(matno: int, blkno: int, i: int, j: int, value: float) -> str:
-    return f"{matno} {blkno} {i} {j} {serialize.format_float(value)}"
+def _texts(keys: np.ndarray, cache: dict, text_of):
+    """``text_of(k)`` for every key, rendered once per key held in ``cache``."""
+    keys = keys.tolist()
+    for k in set(keys).difference(cache):
+        cache[k] = text_of(k)
+    return map(cache.__getitem__, keys)
 
 
-def _emit_entries(entries: list, matno: int, blkno: int, rows, cols, values) -> None:
-    """Append one entry per (0-based) ``rows[k], cols[k], values[k]``."""
-    entries.extend(
-        _format_entry(matno, blkno, i + 1, j + 1, value)
-        for i, j, value in zip(rows, cols, values)
-    )
+# "var blk " heads are keyed var * _BLOCK_KEYS + blk; block numbers are 1..7.
+_BLOCK_KEYS = 8
 
 
-def _emit_block(entries: list, matno: int, blkno: int, mat: np.ndarray) -> None:
-    _, rows, cols, values = _split_nonzero(np.triu(mat)[None])
-    _emit_entries(entries, matno, blkno, rows, cols, values)
+class _EntryLines:
+    """SDPA entry lines ``var blk i j value`` with every field formatted once.
 
+    ``add`` queues entries as arrays; ``flush`` renders the queue.  Each line
+    joins three strings, ``"var blk "``, ``"i j "`` and the value.  Heads and
+    positions are rendered once per distinct key in a flush; values go
+    through ``serialize.format_float`` once per distinct value in the file.
+    Zero values are dropped when queued, so ``-0.0`` and ``0.0`` (equal as
+    keys, different as text) never meet.
+    """
 
-def _emit_diag(entries: list, matno: int, blkno: int, values) -> None:
-    _, idx, _, diag = _split_nonzero(np.asarray(values, dtype=float)[None])
-    _emit_entries(entries, matno, blkno, idx, idx, diag)
+    def __init__(self, lines: list, width: int):
+        self.lines = lines
+        self._width = width  # largest block order: (i, j) keys are i*width + j
+        self._values: dict[float, str] = {}
+        self._queue: list = []
+
+    def add(self, var, blk, rows, cols, values) -> None:
+        """Queue the nonzero ``values`` at 0-based ``(rows, cols)``, in order.
+
+        ``var`` and ``blk`` are scalars or arrays with one entry per value.
+        """
+        values = np.asarray(values, dtype=float)
+        keep = values != 0.0
+        heads = np.broadcast_to(var * _BLOCK_KEYS + blk, values.shape)[keep]
+        places = np.broadcast_to(rows * self._width + cols, values.shape)[keep]
+        self._queue.append((heads, places, values[keep]))
+
+    def block(self, var: int, blk: int, mat: np.ndarray) -> None:
+        rows, cols = np.triu_indices(len(mat))
+        self.add(var, blk, rows, cols, mat[rows, cols])
+
+    def diag(self, var: int, blk: int, values) -> None:
+        idx = np.arange(len(values))
+        self.add(var, blk, idx, idx, values)
+
+    def flush(self) -> None:
+        """Render the queued entries onto ``lines``."""
+        if not self._queue:
+            return
+        heads, places, values = (np.concatenate(a) for a in zip(*self._queue))
+        self._queue.clear()
+        w = self._width
+        self.lines.extend(
+            map(
+                "".join,
+                zip(
+                    _texts(heads, {}, lambda k: "%d %d " % divmod(k, _BLOCK_KEYS)),
+                    _texts(places, {}, lambda k: "%d %d " % (k // w + 1, k % w + 1)),
+                    _texts(values, self._values, serialize.format_float),
+                ),
+            )
+        )
 
 
 def _paired(grad: np.ndarray) -> np.ndarray:
@@ -347,56 +409,79 @@ def _paired(grad: np.ndarray) -> np.ndarray:
     return out
 
 
-def _h_coordinate_blocks(cert: CertificateSDP, u: np.ndarray, v: np.ndarray):
+def _row_supports(j: np.ndarray) -> np.ndarray:
+    """Column indices of each row's nonzeros, padded to a common width.
+
+    Padding repeats zero columns of the row; they only add candidates whose
+    value is evaluated like any other.
+    """
+    nz = j != 0.0
+    width = max(1, int(nz.sum(axis=1).max()))
+    return np.argsort(~nz, axis=1, kind="stable")[:, :width]
+
+
+def _h_coordinate_blocks(cert: CertificateSDP, supports, u: np.ndarray, v: np.ndarray):
     """Block-3 and block-5 data of the H basis elements ``B`` at ``(u, v)``.
 
     Each element has at most two nonzero entries, so ``J_X^T B J_X`` is a
-    scaled sum of outer products of rows of ``J_X``, ``B e`` holds two scaled
-    entries of ``e``, and ``I_r (x) mat(B e)`` repeats the symmetric part of
-    ``mat(B e)`` down the diagonal blocks.  Returns ``(scale, lmi, grad)``
-    stacked over the elements, with ``grad[t] = J_X^T vec(B e)``.
+    scaled sum of outer products of rows ``u`` and ``v`` of ``J_X`` and is
+    supported on ``supp J[u] x supp J[v]`` and its transpose.  ``B e`` holds
+    two scaled entries of ``e``, so ``2 I_r (x) sym(mat(B e))`` touches at
+    most two upper-triangle positions per diagonal block.  Only these
+    candidate positions are evaluated, with the elementwise operations of
+    the dense realization: ``(o_pq + o_qp) * scale`` off the diagonal of the
+    H basis, ``o_pq`` on it (``o = J[u] J[v]^T``), then
+    ``+ 2 sym(mat(B e))`` inside the diagonal blocks; values that come out
+    exactly 0.0 are dropped.  Returns
+    ``(scale, (t, rows, cols, values), grad)``: the nonzero upper-triangle
+    block-3 entries sorted by element and row-major, and
+    ``grad[t] = J_X^T vec(B e)``.
     """
     n, r = cert.n, cert.r
+    nr = n * r
     k = u.size
     diag = u == v
     scale = np.where(diag, 1.0, 1.0 / math.sqrt(2.0))
     vec_be = np.zeros((k, n * n))
     vec_be[np.arange(k), u] = scale * cert.e[v]
     vec_be[np.arange(k), v] = scale * cert.e[u]
-    # C-order reshape of vec(B e) is mat(B e)^T; only the symmetric part is used
-    mat_t = vec_be.reshape(k, n, n)
-    s2 = 2.0 * (0.5 * (mat_t.transpose(0, 2, 1) + mat_t))
+
+    # candidate keys t*nr^2 + p*nr + q with p <= q: the diagonal-block
+    # positions of sym(mat(B e)), and (ub) the outer-product supports
+    offsets = n * np.arange(r)
+    cand = []
+    for w in (u, v):
+        a, b = np.divmod(w, n)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        cand.append((lo[:, None] + offsets) * nr + hi[:, None] + offsets)
+    if cert.which == "ub":
+        su, sv = supports[u][:, :, None], supports[v][:, None, :]
+        cand.append((np.minimum(su, sv) * nr + np.maximum(su, sv)).reshape(k, -1))
+    base = np.arange(k)[:, None] * (nr * nr)
+    keys = np.sort(np.concatenate([c + base for c in cand], axis=1), axis=None, kind="stable")
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    t, pos = np.divmod(keys, nr * nr)
+    rows, cols = np.divmod(pos, nr)
+
     if cert.which == "lb":
-        lmi = np.zeros((k, n * r, n * r))
+        values = np.zeros(keys.size)
     else:
-        outer = cert.j_x[u][:, :, None] * cert.j_x[v][:, None, :]
-        lmi = outer + outer.transpose(0, 2, 1)
-        np.copyto(lmi, outer, where=diag[:, None, None])
-        lmi *= scale[:, None, None]
-    blocks = lmi.reshape(k, r, n, r, n)
-    blocks[:, np.arange(r), :, np.arange(r), :] += s2
+        j, ut, vt = cert.j_x, u[t], v[t]
+        o_pq = j[ut, rows] * j[vt, cols]
+        o_qp = j[ut, cols] * j[vt, rows]
+        values = np.where(diag[t], o_pq, (o_pq + o_qp) * scale[t])
+    # inside the diagonal blocks add 2 sym(mat(B e))[p, q]; the C-order
+    # reshape of vec(B e) is mat(B e)^T, whose symmetric part is the same
+    in_block = rows // n == cols // n
+    tb, p, q = t[in_block], rows[in_block] % n, cols[in_block] % n
+    mat_t = vec_be.reshape(k, n, n)
+    values[in_block] += 2.0 * (0.5 * (mat_t[tb, q, p] + mat_t[tb, p, q]))
+    nz = values != 0.0
     # One matrix-vector product per element, on a freshly allocated vector: a
     # batched matrix product may sum in another order and change digits.
-    grad = np.array([cert.j_x.T @ row.copy() for row in vec_be])
-    return scale, lmi, grad
-
-
-def _split_nonzero(a: np.ndarray, mask: np.ndarray | None = None):
-    """Nonzero entries of each ``a[t]`` (a vector or a matrix), row-major.
-
-    Only positions where ``mask`` (broadcast against ``a[t]``) is true count.
-    Returns ``(ends, rows, cols, values)``: lists over all entries in order,
-    with ``a[t]`` owning the slice ``ends[t-1]:ends[t]``; a vector's entry
-    ``i`` is reported at ``(i, i)``.
-    """
-    nz = a != 0.0
-    if mask is not None:
-        nz &= mask
-    flat = np.flatnonzero(nz)
-    t, pos = np.divmod(flat, a[0].size)
-    rows, cols = np.divmod(pos, a.shape[-1]) if a.ndim == 3 else (pos, pos)
-    ends = np.searchsorted(t, np.arange(1, a.shape[0] + 1))
-    return ends.tolist(), rows.tolist(), cols.tolist(), a.reshape(-1)[flat].tolist()
+    jt = cert.j_x.T
+    grad = np.array([jt @ row.copy() for row in vec_be])
+    return scale, (t[nz], rows[nz], cols[nz], values[nz]), grad
 
 
 def sdpa_lines(cert: CertificateSDP, comments=()) -> list[str]:
@@ -417,56 +502,59 @@ def sdpa_lines(cert: CertificateSDP, comments=()) -> list[str]:
     lines.append(str(m))
     lines.append(str(len(block_sizes)))
     lines.append(" ".join(str(b) for b in block_sizes))
-    lines.append(
-        " ".join(
-            serialize.format_float(v) for v in [1.0, -1.0] + [0.0] * (m - 2)
-        )
-    )
+    one, minus_one, zero = (serialize.format_float(v) for v in (1.0, -1.0, 0.0))
+    lines.append(" ".join([one, minus_one] + [zero] * (m - 2)))
 
-    entries: list[str] = []
+    out = _EntryLines(lines, max(abs(b) for b in block_sizes))
     # F_0: only block 1 has a right-hand side (the identity from H - I).
-    _emit_diag(entries, 0, 1, np.ones(n2))
+    out.diag(0, 1, np.ones(n2))
 
     # kappa_plus (variable 1) and kappa_minus (variable 2)
     for var, sign in ((1, 1.0), (2, -1.0)):
-        _emit_diag(entries, var, 2, sign * np.ones(n2))
+        out.diag(var, 2, sign * np.ones(n2))
         if lb:
-            _emit_block(entries, var, 3, sign * (cert.j_x.T @ cert.j_x))
-    _emit_diag(entries, 1, 4, [1.0, 0.0])
-    _emit_diag(entries, 2, 4, [0.0, 1.0])
+            out.block(var, 3, sign * (cert.j_x.T @ cert.j_x))
+    out.diag(1, 4, [1.0, 0.0])
+    out.diag(2, 4, [0.0, 1.0])
 
     # H coordinates over the orthonormal symmetric basis, enumerated as
     # index pairs (u <= v) of the n^2 space in lexicographic order and
-    # realized in chunks of about SDPA_CHUNK_ENTRIES block-3 positions.
+    # realized in chunks of about SDPA_CHUNK_ENTRIES floats.  Within an
+    # element the entries run block 1, 2, 3, 5; a stable sort on the element
+    # index interleaves the per-block arrays into that order.
     us, vs = np.triu_indices(n2)
-    upper = np.triu(np.ones((nr, nr), dtype=bool))
-    step = max(1, SDPA_CHUNK_ENTRIES // (nr * nr))
-    var = 2
+    supports = _row_supports(cert.j_x)
+    width = supports.shape[1]
+    per_element = n2 + 2 * nr + 2 * r + (0 if lb else width * width)  # see SDPA_CHUNK_ENTRIES
+    step = max(1, SDPA_CHUNK_ENTRIES // per_element)
     for start in range(0, n_h, step):
         u, v = us[start : start + step], vs[start : start + step]
-        scale, lmi, grad = _h_coordinate_blocks(cert, u, v)
-        ends3, rows3, cols3, vals3 = _split_nonzero(lmi, upper)
-        ends5, rows5, _, vals5 = _split_nonzero(_paired(grad))
-        lo3 = lo5 = 0
-        for t, (hi3, hi5) in enumerate(zip(ends3, ends5)):
-            var += 1
-            i, j, sc = int(u[t]) + 1, int(v[t]) + 1, float(scale[t])
-            entries.append(_format_entry(var, 1, i, j, sc))
-            entries.append(_format_entry(var, 2, i, j, -sc))
-            _emit_entries(entries, var, 3, rows3[lo3:hi3], cols3[lo3:hi3], vals3[lo3:hi3])
-            _emit_entries(entries, var, 5, rows5[lo5:hi5], rows5[lo5:hi5], vals5[lo5:hi5])
-            lo3, lo5 = hi3, hi5
+        elem = np.arange(u.size)
+        scale, (t3, rows3, cols3, vals3), grad = _h_coordinate_blocks(cert, supports, u, v)
+        paired = _paired(grad)
+        t5, i5 = np.nonzero(paired)
+        t = np.concatenate([elem, elem, t3, t5])
+        order = np.argsort(t, kind="stable")
+        blk = np.repeat([1, 2, 3, 5], [elem.size, elem.size, t3.size, t5.size])
+        out.add(
+            3 + start + t[order],
+            blk[order],
+            np.concatenate([u, u, rows3, i5])[order],
+            np.concatenate([v, v, cols3, i5])[order],
+            np.concatenate([scale, -scale, vals3, paired[t5, i5]])[order],
+        )
+        out.flush()
 
     # Slack coordinates (lb only).
     for t, c_mat in enumerate(basis_s):
         var = 3 + n_h + t
         s_vec = vec(c_mat)
-        _emit_block(entries, var, 3, 2.0 * np.kron(np.eye(r), c_mat))
-        _emit_diag(entries, var, 5, _paired(cert.j_x.T @ s_vec))
-        _emit_block(entries, var, 6, c_mat)
-        _emit_diag(entries, var, 7, _paired(cert.j_z.T @ s_vec))
-
-    return lines + entries
+        out.block(var, 3, 2.0 * np.kron(np.eye(r), c_mat))
+        out.diag(var, 5, _paired(cert.j_x.T @ s_vec))
+        out.block(var, 6, c_mat)
+        out.diag(var, 7, _paired(cert.j_z.T @ s_vec))
+    out.flush()
+    return lines
 
 
 def export_sdpa(cert: CertificateSDP, path, comments=()) -> None:

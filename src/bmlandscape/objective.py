@@ -22,6 +22,7 @@ curvature constants come from the ``n^2 x n^2`` matrix ``gram_symmetric``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,11 +202,17 @@ class QuadraticObjective:
 
     def f_eval(self, x) -> float:
         x = self._check_factor(x)
-        return float(self.values(self.residual_coeffs(x[None]))[0])
+        value = float(self.values(self.residual_coeffs(x[None]))[0])
+        if not math.isfinite(value):
+            raise ValueError("objective value f(X) overflows float64")
+        return value
 
     def f_grad(self, x) -> np.ndarray:
         xb = self._check_factor(x)[None]
-        return self.grads(xb, self.residual_coeffs(xb))[0]
+        grad = self.grads(xb, self.residual_coeffs(xb))[0]
+        if not np.all(np.isfinite(grad)):
+            raise ValueError("gradient of f at X overflows float64")
+        return grad
 
     def f_hess_quadform(self, x, v) -> float:
         """Quadratic form <hess f(X)[V], V> along a direction V."""

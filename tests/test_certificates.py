@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bmlandscape import bounds, certificates as certs, counterexample as ce
 from bmlandscape.matkernel import vec
@@ -39,6 +40,17 @@ def test_assemble_validation():
         certs.assemble(x, np.ones((4, 1)), "ub")
     with pytest.raises(ValueError):
         certs.assemble(x, np.ones((3, 1)), "middle")
+
+
+def test_assemble_rejects_overflowing_residual():
+    inst = ce.build(4, 2, 1)
+    for x, z in (
+        (1e160 * inst.x_spur, inst.z),
+        (inst.x_spur, 1e160 * inst.z),
+        (1e155 * inst.x_spur, 1e155 * inst.z),  # inf - inf in the residual
+    ):
+        with pytest.raises(ValueError, match="residual X X\\^T - Z Z\\^T overflows float64"):
+            certs.assemble(x, z, "ub")
 
 
 # -- feasibility verification -----------------------------------------------------
@@ -191,6 +203,14 @@ SDPA_SHA256 = {
     ((5, 3, 2), None, "lb"): "6d332625cb75b3578ecc6182295e2cbb81f9add5adbca1998241f80931090eae",
     ((4, 2, 1), 3, "ub"): "a72baace66273c64b4f7303341bc5e673810aab37d56102dba8632033d4e0fff",
     ((4, 2, 1), 3, "lb"): "e6a8b54a50cf9958ade5ab50275244ac661a072614176488d5f0ef49fec25fa1",
+    # computed with the dense block-3 emitter that the support-based one
+    # replaced: r = 1, a dense random basis and wide row supports
+    ((8, 5, 2), None, "ub"): "1ee33c39e0742a46afeca62b931d793a4effe0f394ab8df4a3a32378d4479102",
+    ((8, 5, 2), None, "lb"): "a59d4f4b7306c518dfe1e9c2e6226e067991d11100a6aa737f5a3b3a130625a6",
+    ((6, 4, 1), 123, "ub"): "d41d63b2340d88afd302c0099f92f9071905b42a1f795ac40623b553b74dc18e",
+    ((6, 4, 1), 123, "lb"): "15f230017249b7790e162edce6e1d9269307857d6e38853d3e931aff17852be8",
+    ((4, 1, 1), 7, "ub"): "62c06afe26dd970c84bc488939e98c2a989ee6c23900e89ab3afe58cab47a552",
+    ((4, 1, 1), 7, "lb"): "e2883257e576a6c5557deea58927cf1251eef05c949d859b68e4bae0829d4b67",
 }
 
 
@@ -337,3 +357,96 @@ def test_sdpa_slack_coordinates_realize_the_lb_system():
     assert np.allclose(np.diag(realized[5]), np.column_stack([grad, -grad]).ravel(), atol=1e-12)
     grad_z = cert.j_z.T @ s_vec
     assert np.allclose(np.diag(realized[7]), np.column_stack([grad_z, -grad_z]).ravel(), atol=1e-12)
+
+
+# -- property: the emitted system over small pairs ---------------------------------
+
+# a small value set with exact zeros and repeats, so that rows of J_X vanish,
+# supports overlap and many block entries cancel to exactly 0.0
+ENTRY_VALUES = (0.0, 1.0, -1.0, 0.5, -2.0, 3.0)
+
+
+@st.composite
+def factor_pairs(draw):
+    n = draw(st.integers(1, 3))
+    r_star = draw(st.integers(1, n))
+    r = draw(st.integers(r_star, n))
+    entries = st.sampled_from(ENTRY_VALUES)
+
+    def factor(cols):
+        return np.array(draw(st.lists(entries, min_size=n * cols, max_size=n * cols))).reshape(n, cols)
+
+    return factor(r), factor(r_star)
+
+
+def _expected_blocks(cert):
+    """F_0 .. F_m of the documented SDPA layout, realized from the definitions."""
+    n, r = cert.n, cert.r
+    n2, nr = n * n, n * r
+    lb = cert.which == "lb"
+    sizes = [n2, n2, nr, 2, 2 * nr] + ([n, 2 * n * cert.r_star] if lb else [])
+    j = cert.j_x
+
+    def zero():
+        return {b: np.zeros((s, s)) for b, s in enumerate(sizes, start=1)}
+
+    def paired(g):
+        return np.diag(np.column_stack([g, -g]).ravel())
+
+    def sym(v):
+        m = v.reshape(n, n, order="F")
+        return 0.5 * (m + m.T)
+
+    f0 = zero()
+    f0[1] = np.eye(n2)
+    out = [f0]
+    for k, sign in enumerate((1.0, -1.0)):
+        fk = zero()
+        fk[2] = sign * np.eye(n2)
+        fk[4][k, k] = 1.0
+        if lb:
+            fk[3] = sign * (j.T @ j)
+        out.append(fk)
+    for u in range(n2):
+        for v in range(u, n2):
+            b = np.zeros((n2, n2))
+            b[u, v] = b[v, u] = 1.0 if u == v else 1.0 / math.sqrt(2.0)
+            be = b @ cert.e
+            fk = zero()
+            fk[1], fk[2] = b, -b
+            fk[3] = 2.0 * np.kron(np.eye(r), sym(be)) + (0.0 if lb else j.T @ b @ j)
+            fk[5] = paired(j.T @ be)
+            out.append(fk)
+    for c in symmetric_basis(n) if lb else []:
+        s = vec(c)
+        fk = zero()
+        fk[3] = 2.0 * np.kron(np.eye(r), c)
+        fk[5] = paired(j.T @ s)
+        fk[6] = c
+        fk[7] = paired(cert.j_z.T @ s)
+        out.append(fk)
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(factor_pairs())
+def test_sdpa_entries_realize_both_systems(pair):
+    x, z = pair
+    assume(np.any(x @ x.T != z @ z.T))
+    for which in ("ub", "lb"):
+        cert = certs.assemble(x, z, which)
+        parsed = certs.parse_sdpa("\n".join(certs.sdpa_lines(cert)))
+        entries = parsed["entries"]
+        sizes = parsed["block_sizes"]
+
+        keys = [(var, blk, i, j) for var, blk, i, j, _ in entries]
+        assert len(keys) == len(set(keys))
+        assert all(i <= j for _, blk, i, j, _ in entries if sizes[blk - 1] > 0)
+        assert all(i == j for _, blk, i, j, _ in entries if sizes[blk - 1] < 0)
+        assert all(value != 0.0 for *_, value in entries)
+
+        expected = _expected_blocks(cert)
+        assert parsed["m"] == len(expected) - 1
+        for var, want in enumerate(expected):
+            for b, mat in _dense_blocks(parsed, var).items():
+                np.testing.assert_allclose(mat, want[b], rtol=1e-12, atol=1e-12)

@@ -269,6 +269,19 @@ def test_check_second_order_flags_nonstationary_point():
     }
 
 
+def test_overflowing_factor_is_value_error():
+    # X X^T overflows float64; the einsum kernels raise no floating-point
+    # warning, so without a check f, its gradient and the report are nan
+    obj, rng = make_objective(4, 2, 9, SEED + 16)
+    x = 1e160 * rng.standard_normal((4, 2))
+    with pytest.raises(ValueError, match="objective value f\\(X\\) overflows"):
+        obj.f_eval(x)
+    with pytest.raises(ValueError, match="gradient of f at X overflows"):
+        obj.f_grad(x)
+    with pytest.raises(ValueError, match="overflows"):
+        obj.check_second_order(x)
+
+
 def test_objective_round_trip():
     obj, rng = make_objective(4, 2, 9, SEED + 14)
     back = QuadraticObjective.from_obj(obj.to_obj())
