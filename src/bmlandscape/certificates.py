@@ -412,8 +412,8 @@ def _paired(grad: np.ndarray) -> np.ndarray:
 def _row_supports(j: np.ndarray) -> np.ndarray:
     """Column indices of each row's nonzeros, padded to a common width.
 
-    Padding repeats zero columns of the row; they only add candidates whose
-    value is evaluated like any other.
+    Shorter rows are padded with some of their zero columns, which only add
+    candidates whose value is evaluated like any other.
     """
     nz = j != 0.0
     width = max(1, int(nz.sum(axis=1).max()))
