@@ -167,13 +167,13 @@ def assemble(x, z, which: str) -> CertificateSDP:
 
 
 def _min_eig(m) -> float:
-    w, _ = sym_eig(as_symmetric(m))
+    w, _ = sym_eig(m)
     return float(w[-1])
 
 
-def _check_h(cert: CertificateSDP, h) -> np.ndarray:
+def _check_h(h, n: int) -> np.ndarray:
     h = np.asarray(h, dtype=float)
-    n2 = cert.n * cert.n
+    n2 = n * n
     if h.shape != (n2, n2):
         raise ValueError(f"H must be {n2}x{n2}, got {h.shape}")
     return h
@@ -187,8 +187,8 @@ def verify_ub(cert: CertificateSDP, kappa: float, h, tol: float = DEFAULT_TOL) -
     """
     if kappa < 1.0:
         raise ValueError(f"kappa must be at least 1, got {kappa}")
-    h = _check_h(cert, h)
-    eigs, _ = sym_eig(as_symmetric(h))
+    h = _check_h(h, cert.n)
+    eigs, _ = sym_eig(h)
     s_he = as_symmetric(unvec(h @ cert.e, cert.n))
     lmi = cert.j_x.T @ h @ cert.j_x + 2.0 * np.kron(np.eye(cert.r), s_he)
     residuals = {
@@ -206,11 +206,11 @@ def verify_lb(
     """Check (kappa, H, s) against the lb system's five constraint groups."""
     if kappa < 1.0:
         raise ValueError(f"kappa must be at least 1, got {kappa}")
-    h = _check_h(cert, h)
+    h = _check_h(h, cert.n)
     s = np.asarray(s, dtype=float).reshape(-1)
     if s.size != cert.n * cert.n:
         raise ValueError(f"slack must have length {cert.n * cert.n}, got {s.size}")
-    eigs, _ = sym_eig(as_symmetric(h))
+    eigs, _ = sym_eig(h)
     combined = h @ cert.e + s
     s_comb = as_symmetric(unvec(combined, cert.n))
     lmi = kappa * (cert.j_x.T @ cert.j_x) + 2.0 * np.kron(np.eye(cert.r), s_comb)
@@ -227,10 +227,7 @@ def verify_lb(
 
 def eigen_equations(instance: CounterexampleInstance, h) -> list[float]:
     """Residual norms ||H vec(V) - lam vec(V)|| of the r+2 analytic eigenpairs."""
-    h = np.asarray(h, dtype=float)
-    n2 = instance.n * instance.n
-    if h.shape != (n2, n2):
-        raise ValueError(f"H must be {n2}x{n2}, got {h.shape}")
+    h = _check_h(h, instance.n)
     out = []
     for lam, v in eigen_pairs(instance):
         vv = vec(v)

@@ -11,6 +11,13 @@ the curvature floor ``mu = 1``.
 
 Everything is expressed in an orthonormal frame ``u_0, ..., u_{n-1}``:
 either the standard basis or a seeded random rotation of it.
+
+An instance stores only what the construction chose: the frame, the stuck
+factor ``x_spur``, the objective (which owns the ground truth ``Z``) and
+the claimed ``kappa``.  It derives ``n``, ``r``, ``r_star``, ``q`` and
+``z`` from those matrices.  Records still carry copies of the derived
+facts, and :meth:`CounterexampleInstance.from_obj` rejects any copy that
+disagrees with its matrices, naming the field.
 """
 
 from __future__ import annotations
@@ -41,19 +48,42 @@ SCALE = 2.0 ** 0.25
 
 @dataclass(frozen=True)
 class CounterexampleInstance:
-    """A built instance: the objective plus its distinguished factor pair."""
+    """A built instance: the objective plus its distinguished factor pair.
 
-    n: int
-    r: int
-    r_star: int
-    q: int
+    Only the six fields are stored.  The dimensions ``n`` and ``r`` are the
+    shape of ``x_spur``, the ground truth ``z`` and its rank ``r_star``
+    belong to the objective, and ``q = r - r_star + 1``; so no copy of a
+    fact can disagree with the matrices it describes.  ``kappa`` is the
+    construction's claimed condition number, stored as built.
+    """
+
     kappa: float
     basis_mode: str
     seed: int
     basis: np.ndarray  # n x n orthonormal, columns u_0..u_{n-1}
     x_spur: np.ndarray  # n x r spurious second-order point
-    z: np.ndarray  # n x r_star ground-truth factor
     objective: QuadraticObjective
+
+    @property
+    def n(self) -> int:
+        return self.x_spur.shape[0]
+
+    @property
+    def r(self) -> int:
+        return self.x_spur.shape[1]
+
+    @property
+    def r_star(self) -> int:
+        return self.objective.r_star
+
+    @property
+    def q(self) -> int:
+        return self.r - self.r_star + 1
+
+    @property
+    def z(self) -> np.ndarray:
+        """n x r_star ground-truth factor: the objective's ``Z``."""
+        return self.objective.ground_truth
 
     def to_obj(self) -> dict:
         return {
@@ -73,6 +103,7 @@ class CounterexampleInstance:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "CounterexampleInstance":
+        """Load a record, rejecting any stored copy its matrices contradict."""
         if not isinstance(obj, dict) or obj.get("kind") != "counterexample":
             raise ValueError("record is not a counterexample instance")
         factors = {}
@@ -83,19 +114,27 @@ class CounterexampleInstance:
             if not np.all(np.isfinite(gram)):
                 raise ValueError(f"Gram matrix {name} {name}^T overflows float64")
             factors[name] = f
-        return cls(
-            n=int(obj["n"]),
-            r=int(obj["r"]),
-            r_star=int(obj["r_star"]),
-            q=int(obj["q"]),
+        inst = cls(
             kappa=float(obj["kappa"]),
             basis_mode=str(obj["basis_mode"]),
             seed=int(obj["seed"]),
             basis=serialize.matrix_from_lists(obj["basis"]),
             x_spur=factors["x_spur"],
-            z=factors["z"],
             objective=QuadraticObjective.from_obj(obj["objective"]),
         )
+        z = factors["z"]
+        if z.shape != inst.z.shape or z.tobytes() != inst.z.tobytes():
+            raise ValueError("record field z disagrees with the objective's Z")
+        if inst.objective.n != inst.n or inst.basis.shape != (inst.n, inst.n):
+            raise ValueError("x_spur, basis and objective disagree on n")
+        for name in ("n", "r", "r_star", "q"):
+            value = getattr(inst, name)
+            if obj[name] != value:
+                raise ValueError(
+                    f"record field {name}={obj[name]!r} disagrees with its "
+                    f"matrices ({name}={value})"
+                )
+        return inst
 
 
 def _orthonormal_frame(n: int, mode: str, seed: int) -> np.ndarray:
@@ -160,16 +199,11 @@ def build(
 
     objective = QuadraticObjective(_measurement_stack(n, q, kappa, u), z)
     return CounterexampleInstance(
-        n=n,
-        r=r,
-        r_star=r_star,
-        q=q,
         kappa=kappa,
         basis_mode=basis_mode,
         seed=seed,
         basis=u,
         x_spur=x_spur,
-        z=z,
         objective=objective,
     )
 

@@ -220,18 +220,28 @@ class QuadraticObjective:
         v = self._check_factor(v)
         if v.shape != x.shape:
             raise ValueError(f"direction shape {v.shape} != factor shape {x.shape}")
-        s = self._s_term(x)
-        w = x @ v.T + v @ x.T
-        return 2.0 * float(np.vdot(s, v @ v.T)) + float(np.vdot(self.hess_apply(w), w))
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = self._s_term(x)
+            w = x @ v.T + v @ x.T
+            # hess_apply without its finiteness check, so overflow reaches ours
+            hw = self._apply(0.5 * (w + w.T))
+            value = 2.0 * float(np.vdot(s, v @ v.T)) + float(np.vdot(hw, w))
+        if not math.isfinite(value):
+            raise ValueError("Hessian quadratic form of f at X overflows float64")
+        return value
 
     def f_hess_matrix(self, x) -> np.ndarray:
         """Dense (n*r) x (n*r) Hessian of f at X in vec coordinates."""
         x = self._check_factor(x)
         r = x.shape[1]
         j = jacobian_matrix(x)
-        s = self._s_term(x)
-        h = j.T @ self.gram_symmetric @ j + 2.0 * np.kron(np.eye(r), s)
-        return 0.5 * (h + h.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = self._s_term(x)
+            h = j.T @ self.gram_symmetric @ j + 2.0 * np.kron(np.eye(r), s)
+            h = 0.5 * (h + h.T)
+        if not np.all(np.isfinite(h)):
+            raise ValueError("Hessian of f at X overflows float64")
+        return h
 
     def f_hess_min_eig(self, x) -> float:
         w, _ = sym_eig(self.f_hess_matrix(x))

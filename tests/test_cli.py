@@ -197,6 +197,26 @@ def test_overflowing_factor_gram_is_input_error(capsys, tmp_path, command, field
     assert not (tmp_path / "cert.dat-s").exists()
 
 
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("field", ["n", "r", "r_star", "q", "z"])
+def test_record_field_disagreeing_with_matrices_is_input_error(
+    capsys, tmp_path, command, field
+):
+    # each stored copy of a fact the matrices determine, tampered alone
+    path = build_instance(capsys, tmp_path)
+    record = json.loads(path.read_text())
+    if field == "z":
+        record["z"][0][0] += 0.5
+    else:
+        record[field] += 1
+    path.write_text(json.dumps(record))
+    rc, _, err = run(capsys, *instance_subcommand(command, path, tmp_path))
+    assert rc == 2
+    assert err.startswith("error:") and f"record field {field}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "cert.dat-s").exists()
+
+
 # -- bounds ------------------------------------------------------------------
 
 

@@ -1,9 +1,12 @@
+import hashlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from bmlandscape import counterexample as ce
+from bmlandscape import counterexample as ce, serialize
 from bmlandscape.matkernel import vec
 
 # every admissible rank triple with n <= 8
@@ -144,4 +147,88 @@ def test_from_obj_rejects_wrong_kind():
 @pytest.mark.parametrize("record", [[], "x", 5, None])
 def test_from_obj_rejects_non_object(record):
     with pytest.raises(ValueError, match="not a counterexample"):
+        ce.CounterexampleInstance.from_obj(record)
+
+
+# sha256 of serialize.dumps(build(...).to_obj()), computed while the instance
+# record still stored n, r, r_star, q and z as fields: any changed byte of an
+# instance file fails here.
+RECORD_SHA256 = {
+    ((5, 3, 2), None): "f012cef15a4889fad6bdcd88a2a5766408a83d879c7f4cbb83f39483211725d6",
+    ((4, 2, 1), 7): "8b0642e70bd170bfb98c490b3f3fe438f0068fa26655af15cf64130cd93c0efb",
+    ((10, 6, 2), 0): "99dcec33473bc31cbb1beab4a3c78bc417cc1cbeb38a20a3540cbd29ac4fc9aa",
+}
+
+
+@pytest.mark.parametrize(
+    "dims,basis_seed",
+    list(RECORD_SHA256),
+    ids=[
+        "x".join(map(str, dims)) + ("-standard" if seed is None else f"-random{seed}")
+        for dims, seed in RECORD_SHA256
+    ],
+)
+def test_instance_record_bytes_pinned(dims, basis_seed):
+    if basis_seed is None:
+        inst = ce.build(*dims)
+    else:
+        inst = ce.build(*dims, basis_mode="random", seed=basis_seed)
+    digest = hashlib.sha256(serialize.dumps(inst.to_obj()).encode()).hexdigest()
+    assert digest == RECORD_SHA256[(dims, basis_seed)]
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("field", ["n", "r", "r_star", "q"])
+def test_from_obj_rejects_dimension_disagreeing_with_matrices(field, delta):
+    record = ce.build(5, 3, 2).to_obj()
+    record[field] += delta
+    with pytest.raises(ValueError, match=f"record field {field}=.* disagrees"):
+        ce.CounterexampleInstance.from_obj(record)
+
+
+def test_from_obj_rejects_z_disagreeing_with_objective():
+    record = ce.build(5, 3, 2).to_obj()
+    record["z"][2][1] = math.nextafter(record["z"][2][1], 2.0)
+    with pytest.raises(ValueError, match="record field z disagrees"):
+        ce.CounterexampleInstance.from_obj(record)
+
+
+def test_from_obj_rejects_factor_rows_disagreeing_with_objective():
+    small, big = ce.build(4, 2, 1).to_obj(), ce.build(5, 2, 1).to_obj()
+    small["objective"] = big["objective"]
+    small["z"] = big["z"]
+    with pytest.raises(ValueError, match="x_spur, basis and objective disagree on n"):
+        ce.CounterexampleInstance.from_obj(small)
+
+
+def test_instance_stores_six_fields_and_derives_the_rest():
+    inst = ce.build(6, 4, 2)
+    assert [f.name for f in fields(inst)] == [
+        "kappa", "basis_mode", "seed", "basis", "x_spur", "objective",
+    ]
+    assert (inst.n, inst.r, inst.r_star, inst.q) == (6, 4, 2, 3)
+    assert inst.z is inst.objective.ground_truth
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.sampled_from([d for d in SWEEP if d[0] <= 5]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    field=st.sampled_from(["n", "r", "r_star", "q"]),
+    delta=st.one_of(
+        st.integers(min_value=-50, max_value=50),
+        st.floats(min_value=-50.0, max_value=50.0),
+    ),
+)
+def test_from_obj_rejects_any_scalar_change_and_round_trips_untouched(
+    dims, seed, field, delta
+):
+    inst = ce.build(*dims, basis_mode="random", seed=seed)
+    text = serialize.dumps(inst.to_obj())
+    back = ce.CounterexampleInstance.from_obj(inst.to_obj())
+    assert serialize.dumps(back.to_obj()) == text
+    record = inst.to_obj()
+    record[field] += delta
+    assume(record[field] != getattr(inst, field))  # delta 0, or 4 + 1e-87 == 4
+    with pytest.raises(ValueError, match=f"record field {field}="):
         ce.CounterexampleInstance.from_obj(record)

@@ -271,7 +271,8 @@ def test_check_second_order_flags_nonstationary_point():
 
 def test_overflowing_factor_is_value_error():
     # X X^T overflows float64; the einsum kernels raise no floating-point
-    # warning, so without a check f, its gradient and the report are nan
+    # warning, so without a check f, its gradient, the Hessian's quadratic
+    # form and the report are nan, and the dense Hessian's matmul warns
     obj, rng = make_objective(4, 2, 9, SEED + 16)
     x = 1e160 * rng.standard_normal((4, 2))
     with pytest.raises(ValueError, match="objective value f\\(X\\) overflows"):
@@ -280,6 +281,12 @@ def test_overflowing_factor_is_value_error():
         obj.f_grad(x)
     with pytest.raises(ValueError, match="overflows"):
         obj.check_second_order(x)
+    with pytest.raises(ValueError, match="Hessian quadratic form of f at X overflows"):
+        obj.f_hess_quadform(x, x)
+    with pytest.raises(ValueError, match="Hessian of f at X overflows"):
+        obj.f_hess_matrix(x)
+    with pytest.raises(ValueError, match="Hessian of f at X overflows"):
+        obj.f_hess_min_eig(x)
 
 
 def test_objective_round_trip():
