@@ -212,6 +212,26 @@ def test_trial_zero_frozen_regression_row():
     )
 
 
+# Per-trial (outcome, iters) of the two small censuses at seed 42.  These
+# columns do not depend on the last bits of the kernels' arithmetic, so a
+# kernel rewrite that moves final_f in its last digits must keep them.
+OUTCOME_ITERS = {
+    4: [("success", k) for k in (3816, 3817, 3820, 3843, 3816, 3818, 3817, 3851, 3833, 3812)],
+    3: [
+        ("stuck", 6000), ("success", 5130), ("success", 4094), ("success", 4500),
+        ("success", 4156), ("success", 4520), ("stuck", 6000), ("success", 4112),
+        ("success", 4032), ("success", 4952),
+    ],
+}
+
+
+@pytest.mark.parametrize("search_rank", [4, 3])
+def test_outcome_and_iteration_columns_pinned(search_rank):
+    report = dynamics.run_trials(small_config(search_rank=search_rank, trials=10))
+    got = [(rec.outcome, rec.iters) for rec in report.records]
+    assert got == OUTCOME_ITERS[search_rank]
+
+
 def test_rank_limited_trials_stay_pinned():
     cfg = small_config(search_rank=3, max_iters=50, trials=8)
     report = dynamics.run_trials(cfg, threads=1)
