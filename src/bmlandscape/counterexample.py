@@ -103,7 +103,11 @@ class CounterexampleInstance:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "CounterexampleInstance":
-        """Load a record, rejecting any stored copy its matrices contradict."""
+        """Load a record, rejecting any stored copy its matrices contradict.
+
+        A record whose ranks break ``r >= r_star`` (so ``q < 1``) is
+        rejected too: no spurious-point formula holds for it.
+        """
         if not isinstance(obj, dict) or obj.get("kind") != "counterexample":
             raise ValueError("record is not a counterexample instance")
         factors = {}
@@ -134,6 +138,11 @@ class CounterexampleInstance:
                     f"record field {name}={obj[name]!r} disagrees with its "
                     f"matrices ({name}={value})"
                 )
+        if inst.r < inst.r_star:
+            raise ValueError(
+                f"record has r={inst.r} below r_star={inst.r_star} (q={inst.q}); "
+                "an instance needs r >= r_star, so q >= 1"
+            )
         return inst
 
 

@@ -16,13 +16,17 @@ Reports are bitwise reproducible for a fixed master seed:
 * all trials run in one batch on one thread; a trial leaves the active set
   as soon as it reaches the success tolerance (or diverges), and only the
   active trials are stepped;
-* the hot loop contracts the measurements only through the objective's
-  batched kernels (``residual_coeffs``, ``values``, ``grads`` in
-  :mod:`bmlandscape.objective`): each is ``np.einsum(..., optimize=False)``
-  with the batch axis outermost, which never re-routes through BLAS, so each
+* the hot loop evaluates f and its gradient only through the objective's
+  batched kernels (``residuals``, ``apply_gram``, ``values``, ``grads`` in
+  :mod:`bmlandscape.objective`), carrying ``S = grad phi(X X^T)`` from one
+  step to the next: each product is a stacked ``np.matmul`` that makes the
+  same BLAS call per trial, never a flat product over the batch, so each
   trial's arithmetic is exactly that of a solo run whatever else shares its
   batch, and a trial's f and gradient equal the objective's single-factor
   ``f_eval`` and ``f_grad`` (the batch-of-one case) bit for bit.
+
+The bits depend on the BLAS library, as any matmul's do: the same numpy
+and BLAS build gives the same report.
 """
 
 from __future__ import annotations
@@ -205,40 +209,44 @@ def _run_batch(obj, x0, cfg):
     """Drive a batch of trials until each converges, diverges or runs out.
 
     Every f and gradient comes from the batched kernels of ``obj``, the
-    instance's :class:`QuadraticObjective`.  Only the active trials' rows
-    are stepped.  A trial leaves the active set once its objective reaches
-    ``success_tol`` or stops being finite, and its state is written back
-    then; trials still active at ``max_iters`` are written back at the end.
+    instance's :class:`QuadraticObjective`; each trial carries its
+    ``S = grad phi(X X^T)`` from one evaluation to the next step.  Only the
+    active trials' rows are stepped.  A trial leaves the active set once its
+    objective reaches ``success_tol`` or stops being finite, and its state
+    is written back then; trials still active at ``max_iters`` are written
+    back at the end.
     Returns the final iterates and per-trial (f, grad norm, iterations)
     arrays; a diverged trial keeps its non-finite f and the iteration at
     which it appeared.
     """
     x_out = np.array(x0, dtype=float)
-    c_out = obj.residual_coeffs(x_out)
-    f_out = obj.values(c_out)
     iters = np.zeros(len(x_out), dtype=np.int64)
-    idx = np.flatnonzero(np.isfinite(f_out) & (f_out > cfg.success_tol))
-    x, c, f = x_out[idx], c_out[idx], f_out[idx]
-    v = np.zeros_like(x)
-    # overflow in a diverging trial is expected; it is caught by the
-    # finiteness test and reported by run_trials
+    # overflow in a diverging trial (or at a far initial point) is expected;
+    # it is caught by the finiteness test and reported by run_trials
     with np.errstate(over="ignore", invalid="ignore"):
+        e = obj.residuals(x_out)
+        s_out = obj.apply_gram(e)
+        f_out = obj.values(e, s_out)
+        idx = np.flatnonzero(np.isfinite(f_out) & (f_out > cfg.success_tol))
+        x, s, f = x_out[idx], s_out[idx], f_out[idx]
+        v = np.zeros_like(x)
         k = 0
         while idx.size and k < cfg.max_iters:
             k += 1
-            x, v = _step(x, v, obj.grads(x, c), cfg.learning_rate, cfg.momentum)
-            c = obj.residual_coeffs(x)
-            f = obj.values(c)
+            x, v = _step(x, v, obj.grads(x, s), cfg.learning_rate, cfg.momentum)
+            e = obj.residuals(x)
+            s = obj.apply_gram(e)
+            f = obj.values(e, s)
             keep = np.isfinite(f) & (f > cfg.success_tol)
             if not keep.all():
                 left = ~keep
                 done = idx[left]
-                x_out[done], c_out[done], f_out[done] = x[left], c[left], f[left]
+                x_out[done], s_out[done], f_out[done] = x[left], s[left], f[left]
                 iters[done] = k
-                idx, x, v, c, f = idx[keep], x[keep], v[keep], c[keep], f[keep]
-        x_out[idx], c_out[idx], f_out[idx] = x, c, f
+                idx, x, v, s, f = idx[keep], x[keep], v[keep], s[keep], f[keep]
+        x_out[idx], s_out[idx], f_out[idx] = x, s, f
         iters[idx] = cfg.max_iters
-        g_fin = obj.grads(x_out, c_out)
+        g_fin = obj.grads(x_out, s_out)
         gnorm = np.sqrt(np.einsum("bij,bij->b", g_fin, g_fin, optimize=False))
     return x_out, f_out, gnorm, iters
 

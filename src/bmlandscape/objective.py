@@ -10,14 +10,17 @@ for an ``n x r`` factor ``X``.  Measurement matrices are stored exactly as
 given (possibly unsymmetric); every formula applies them through their
 symmetric part, and the raw stack stays available for certificate work.
 
-This module is the only code that contracts the measurement stack.  Values,
-gradients and the ``S = grad phi(X X^T)`` term come from batched kernels
-(``coeffs``, ``residual_coeffs``, ``values``, ``combine``, ``grads``) that
-take a leading batch axis; the trial engine calls them on whole batches and
-the single-factor methods (``f_eval``, ``f_grad``, ``phi_eval``,
-``phi_grad``, ``hess_apply``, ``f_hess_quadform``, ``f_hess_matrix``) are
-their batch-of-one case, so both report bitwise the same numbers.  The
-curvature constants come from the ``n^2 x n^2`` matrix ``gram_symmetric``.
+This module is the only code that contracts the measurement stack, and it
+does so once: into the ``n^2 x n^2`` curvature matrix ``G =
+gram_symmetric`` with ``G vec(E) = vec(sum_k <A_k, E> A_k)``.  Values,
+gradients and the ``S = grad phi(X X^T)`` term come from batched kernels on
+the residual ``E = X X^T - M*`` (``residuals``, ``apply_gram``, ``values``,
+``grads``): ``S = mat(G vec(E))``, ``f = 1/2 <E, S>`` and ``grad f = 2 S X``.
+They take a leading batch axis; the trial engine calls them on whole
+batches and the single-factor methods (``f_eval``, ``f_grad``,
+``phi_eval``, ``phi_grad``, ``hess_apply``, ``f_hess_quadform``,
+``f_hess_matrix``) are their batch-of-one case, so both report bitwise the
+same numbers.  The curvature constants come from ``G`` as well.
 """
 
 from __future__ import annotations
@@ -110,34 +113,40 @@ class QuadraticObjective:
         self._gram_sym = None
         self._bounds = None
 
-    # -- batched contractions --------------------------------------------
+    # -- batched kernels -------------------------------------------------
     #
-    # A leading batch axis b holds independent points.  Each kernel is one
-    # np.einsum(..., optimize=False) with the batch axis outermost, which
-    # never re-routes through BLAS, so each point's numbers are the same
-    # whatever else shares its batch.
+    # A leading batch axis b holds independent points.  Every product is a
+    # stacked (3-D) np.matmul, which makes the same BLAS call for each
+    # point's own matrices, so each point's numbers are the same whatever
+    # else shares its batch.  A flat 2-D product over the batch (E @ G with
+    # E of shape (b, n^2)) is avoided: BLAS picks its routine and blocking
+    # by the row count, and a row's bits then depend on the batch's size
+    # (a one-row product differed from the same row of a 100-row one in
+    # nearly every row tried).  matmul warns on overflow where einsum did
+    # not; callers that expect overflow silence it themselves, outside any
+    # hot loop.
 
-    def coeffs(self, m) -> np.ndarray:
-        """Measurement coefficients <A_k, M_b> of a batch of matrices."""
-        return np.einsum("kij,bij->bk", self._sym, m, optimize=False)
+    def residuals(self, x) -> np.ndarray:
+        """Residuals E_b = X_b X_b^T - M* of a batch of factors."""
+        # a contiguous transpose is faster for the stacked gemm than a view
+        e = x @ np.ascontiguousarray(x.transpose(0, 2, 1))
+        e -= self.m_star
+        return e
 
-    def residual_coeffs(self, x) -> np.ndarray:
-        """Residual coefficients <A_k, X_b X_b^T - M*> of a batch of factors."""
-        p = np.einsum("bik,bjk->bij", x, x, optimize=False)
-        return self.coeffs(p - self.m_star)
+    def apply_gram(self, e) -> np.ndarray:
+        """Matrices mat(G vec(E_b)) = sum_k <A_k, E_b> A_k of a batch."""
+        b, n = len(e), self.n
+        return (e.reshape(b, 1, n * n) @ self.gram_symmetric).reshape(b, n, n)
 
     @staticmethod
-    def values(c) -> np.ndarray:
-        """Objective values 1/2 sum_k c_bk^2 from residual coefficients."""
-        return 0.5 * np.einsum("bk,bk->b", c, c, optimize=False)
+    def values(e, s) -> np.ndarray:
+        """Objective values 1/2 <E_b, S_b> = 1/2 sum_k <A_k, E_b>^2."""
+        return 0.5 * np.einsum("bij,bij->b", e, s, optimize=False)
 
-    def combine(self, c) -> np.ndarray:
-        """Matrices sum_k c_bk A_k from a batch of coefficient vectors."""
-        return np.einsum("bk,kij->bij", c, self._sym, optimize=False)
-
-    def grads(self, x, c) -> np.ndarray:
-        """Gradients 2 S_b X_b of f, given X's residual coefficients."""
-        return 2.0 * np.einsum("bij,bjk->bik", self.combine(c), x, optimize=False)
+    @staticmethod
+    def grads(x, s) -> np.ndarray:
+        """Gradients 2 S_b X_b of f, given S_b = mat(G vec(E_b))."""
+        return 2.0 * (s @ x)
 
     # -- curvature -----------------------------------------------------
 
@@ -175,11 +184,14 @@ class QuadraticObjective:
         return as_symmetric(m_mat) - self.m_star
 
     def _apply(self, m) -> np.ndarray:
-        """sum_k <A_k, M> A_k for one matrix."""
-        return self.combine(self.coeffs(m[None]))[0]
+        """sum_k <A_k, M> A_k for one matrix; an overflow gives inf silently."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.apply_gram(m[None])[0]
 
     def phi_eval(self, m_mat) -> float:
-        return float(self.values(self.coeffs(self._residual(m_mat)[None]))[0])
+        e = self._residual(m_mat)[None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self.values(e, self.apply_gram(e))[0])
 
     def phi_grad(self, m_mat) -> np.ndarray:
         return self._apply(self._residual(m_mat))
@@ -198,18 +210,23 @@ class QuadraticObjective:
 
     def _s_term(self, x) -> np.ndarray:
         """S = grad phi(X X^T) for one checked factor."""
-        return self.combine(self.residual_coeffs(x[None]))[0]
+        return self.apply_gram(self.residuals(x[None]))[0]
+
+    # f_eval and f_grad silence overflow and then check their results
 
     def f_eval(self, x) -> float:
-        x = self._check_factor(x)
-        value = float(self.values(self.residual_coeffs(x[None]))[0])
+        xb = self._check_factor(x)[None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = self.residuals(xb)
+            value = float(self.values(e, self.apply_gram(e))[0])
         if not math.isfinite(value):
             raise ValueError("objective value f(X) overflows float64")
         return value
 
     def f_grad(self, x) -> np.ndarray:
         xb = self._check_factor(x)[None]
-        grad = self.grads(xb, self.residual_coeffs(xb))[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = self.grads(xb, self.apply_gram(self.residuals(xb)))[0]
         if not np.all(np.isfinite(grad)):
             raise ValueError("gradient of f at X overflows float64")
         return grad

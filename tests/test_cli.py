@@ -217,6 +217,23 @@ def test_record_field_disagreeing_with_matrices_is_input_error(
     assert not (tmp_path / "cert.dat-s").exists()
 
 
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_rank_below_target_rank_is_input_error(capsys, tmp_path, command):
+    # build(6,3,3) cut to one column of x_spur: the stored r=1 and q=-1 agree
+    # with the matrices, but no instance has r < r_star
+    path = build_instance(capsys, tmp_path, n=6, r=3, rstar=3)
+    record = json.loads(path.read_text())
+    record["x_spur"] = [row[:1] for row in record["x_spur"]]
+    record["r"], record["q"] = 1, -1
+    path.write_text(json.dumps(record))
+    rc, out, err = run(capsys, *instance_subcommand(command, path, tmp_path))
+    assert rc == 2
+    assert err.startswith("error:") and "r=1 below r_star=3 (q=-1)" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "cert.dat-s").exists()
+
+
 # -- bounds ------------------------------------------------------------------
 
 

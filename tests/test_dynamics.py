@@ -207,14 +207,14 @@ def test_trial_zero_frozen_regression_row():
     report = dynamics.run_trials(small_config(), threads=1)
     row = report.to_csv().splitlines()[1]
     assert row == (
-        "0,16138347438539916964,success,9.9968168650199364e-07,"
-        "1.0033689913260105e-04,1.5814340247145278e+00,3816"
+        "0,16138347438539916964,success,9.9968168650199258e-07,"
+        "1.0033689913260094e-04,1.5814340247145278e+00,3816"
     )
 
 
-# Per-trial (outcome, iters) of the two small censuses at seed 42.  These
-# columns do not depend on the last bits of the kernels' arithmetic, so a
-# kernel rewrite that moves final_f in its last digits must keep them.
+# Per-trial (outcome, iters) of the two small censuses at seed 42.  A change
+# of the kernels' rounding moves final_f in its last digits; it must not move
+# these columns.
 OUTCOME_ITERS = {
     4: [("success", k) for k in (3816, 3817, 3820, 3843, 3816, 3818, 3817, 3851, 3833, 3812)],
     3: [

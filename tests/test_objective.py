@@ -146,6 +146,67 @@ def test_asymmetric_measurements_act_through_symmetric_part():
     assert np.linalg.norm(raw.f_grad(x) - sym.f_grad(x)) <= 1e-12
 
 
+# -- batched kernels against the raw stack ----------------------------------------
+
+
+def raw_stack_oracle(meas, z, x):
+    """f, S and grad f of one factor by a loop over the raw measurements.
+
+    S = sum_k <sym A_k, E> sym A_k with E = X X^T - Z Z^T, f = 1/2 sum_k
+    <sym A_k, E>^2 and grad f = 2 S X; no Gram matrix is formed.
+    """
+    e = x @ x.T - z @ z.T
+    f, s = 0.0, np.zeros_like(e)
+    for a in meas:
+        sym_a = 0.5 * (a + a.T)
+        c = float(np.sum(sym_a * e))
+        f += 0.5 * c * c
+        s += c * sym_a
+    return f, s, 2.0 * s @ x
+
+
+def _rel_err(got, want) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+# m below n(n+1)/2 = 10 (rank-deficient curvature), m = n^2, and m above n^2
+@pytest.mark.parametrize("m", [6, 16, 40])
+def test_batched_kernels_match_raw_stack_loop(m):
+    obj, rng = make_objective(4, 2, m, SEED + 20 + m)
+    x = rng.standard_normal((9, 4, 3))
+    e = obj.residuals(x)
+    s = obj.apply_gram(e)
+    f = obj.values(e, s)
+    g = obj.grads(x, s)
+    for t in range(len(x)):
+        f_ref, s_ref, g_ref = raw_stack_oracle(obj.measurements, obj.ground_truth, x[t])
+        assert abs(f[t] - f_ref) <= 1e-12 * f_ref
+        assert _rel_err(s[t], s_ref) <= 1e-12
+        assert _rel_err(g[t], g_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("b", [1, 7, 100])
+def test_batched_kernels_equal_their_batch_of_one(b):
+    # each point's bits are independent of the rest of its batch, and the
+    # single-factor f_eval / f_grad are the batch-of-one case
+    obj, rng = make_objective(5, 2, 25, SEED + 30)
+    x = rng.standard_normal((b, 5, 4))
+    e = obj.residuals(x)
+    s = obj.apply_gram(e)
+    f = obj.values(e, s)
+    g = obj.grads(x, s)
+    for t in range(b):
+        xt = x[t : t + 1]
+        e1 = obj.residuals(xt)
+        s1 = obj.apply_gram(e1)
+        assert np.array_equal(e[t : t + 1], e1)
+        assert np.array_equal(s[t : t + 1], s1)
+        assert np.array_equal(f[t : t + 1], obj.values(e1, s1))
+        assert np.array_equal(g[t : t + 1], obj.grads(xt, s1))
+        assert f[t] == obj.f_eval(x[t])
+        assert np.array_equal(g[t], obj.f_grad(x[t]))
+
+
 # -- smoothness bounds -----------------------------------------------------------
 
 
