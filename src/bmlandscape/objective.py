@@ -109,7 +109,6 @@ class QuadraticObjective:
         if not np.all(np.isfinite(m_star)):
             raise ValueError("ground-truth Gram matrix Z Z^T overflows float64")
         self.m_star = m_star
-        self._sym = 0.5 * (stack + stack.transpose(0, 2, 1))
         self._gram_sym = None
         self._bounds = None
 
@@ -154,7 +153,9 @@ class QuadraticObjective:
     def gram_symmetric(self) -> np.ndarray:
         """n^2 x n^2 matrix G with G vec(E) = vec(hessian-of-phi applied to E)."""
         if self._gram_sym is None:
-            flat = self._sym.reshape(len(self._sym), -1, order="C")
+            stack = self.measurements
+            sym = 0.5 * (stack + stack.transpose(0, 2, 1))
+            flat = sym.reshape(len(sym), -1, order="C")
             # vec is column-stacking, but each A is symmetric so order is moot
             self._gram_sym = flat.T @ flat
         return self._gram_sym
@@ -211,8 +212,6 @@ class QuadraticObjective:
     def _s_term(self, x) -> np.ndarray:
         """S = grad phi(X X^T) for one checked factor."""
         return self.apply_gram(self.residuals(x[None]))[0]
-
-    # f_eval and f_grad silence overflow and then check their results
 
     def f_eval(self, x) -> float:
         xb = self._check_factor(x)[None]
