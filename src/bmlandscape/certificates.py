@@ -20,9 +20,13 @@ and a row of ``J_X`` at most ``2r``, so the block-3 matrix
 ``J_X^T B J_X + 2 I_r (x) sym(mat(B e))`` is evaluated only at the pairs of
 ``supp J[u] x supp J[v]`` and the few diagonal-block positions of
 ``mat(B e)``: at most ``4r^2 + 2r`` upper-triangle candidates instead of
-``(nr)^2`` dense positions.  Entry lines are joined from strings that are
-formatted once each: a distinct value once per file, a ``var blk`` head and
-an ``i j`` position once per chunk of elements.
+``(nr)^2`` dense positions.  The block-5 products ``J_X^T vec(B e)`` of a
+chunk of elements, and the slack products of the lb system, are one stacked
+matmul each, bitwise equal to one product per element.  Entry lines are
+rendered a chunk at a time by ``np.char.add`` over small byte-string
+tables: the positions ``1..w`` and the block numbers per file, the chunk's
+variable numbers, and the texts of its distinct values, each distinct value
+formatted once per file.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .matkernel import (
     unvec,
     vec,
 )
-from .objective import symmetric_basis
 
 __all__ = [
     "CertificateSDP",
@@ -66,11 +69,16 @@ DEFAULT_TOL = 1e-8
 # float64 values (64 KiB).  Per basis element it holds vec(B e) (n^2 values),
 # the paired gradient (2nr) and its block-3 candidates: 2r, plus w^2 for ub
 # with w <= 2r the widest row support of J_X.  A chunk covers 35 elements of
-# a dense-basis (7,5,2) ub system and 34 of the standard-basis (10,6,2) one.
-# Each chunk pays a fixed numpy overhead: the benchmark's six exports took
-# 1.15x as long at 2^12 as at 2^13.  At 2^14 the peak RSS of a
-# certify_export pass was 0.8 MB higher.
+# a dense-basis (7,5,2) ub system and 34 of the standard-basis (10,6,2) one;
+# its entry lines are rendered together, so the chunk also bounds the
+# rendering's byte-string arrays.  Each chunk pays a fixed overhead of about
+# 100 numpy calls: sdpa_lines on the benchmark's six exports took 1.24x as
+# long at 2^12 as at 2^13 and 0.80x at 2^14, where the certify_export peak
+# RSS was 0.8 MB higher.
 SDPA_CHUNK_ENTRIES = 1 << 13
+
+# export_sdpa writes this many lines per write call (about 150 KB of text).
+SDPA_WRITE_LINES = 1 << 12
 
 # Residual names measured as norms (feasible iff <= tol); all other
 # residuals are smallest eigenvalues (feasible iff >= -tol).
@@ -331,45 +339,38 @@ def cos_theta_witness(x, z, tau: float, tol: float = DEFAULT_TOL):
 #   7: -(2nr*)  (lb only) paired inequalities for J_Z^T s = 0
 
 
-def _texts(keys: np.ndarray, cache: dict, text_of):
-    """``text_of(k)`` for every key, rendered once per key held in ``cache``."""
-    keys = keys.tolist()
-    for k in set(keys).difference(cache):
-        cache[k] = text_of(k)
-    return map(cache.__getitem__, keys)
-
-
-# "var blk " heads are keyed var * _BLOCK_KEYS + blk; block numbers are 1..7.
-_BLOCK_KEYS = 8
+# "%d " texts of the block numbers; entry 0 only pads the table.
+_BLOCK_TEXTS = np.array([b"%d " % blk for blk in range(8)])
 
 
 class _EntryLines:
-    """SDPA entry lines ``var blk i j value`` with every field formatted once.
+    """SDPA entry lines ``var blk i j value`` rendered from small string tables.
 
-    ``add`` queues entries as arrays; ``flush`` renders the queue.  Each line
-    joins three strings, ``"var blk "``, ``"i j "`` and the value.  Heads and
-    positions are rendered once per distinct key in a flush; values go
-    through ``serialize.format_float`` once per distinct value in the file.
-    Zero values are dropped when queued, so ``-0.0`` and ``0.0`` (equal as
-    keys, different as text) never meet.
+    ``add`` queues entries as arrays; ``flush`` renders the queue with one
+    ``np.char.add`` per field over fixed-width byte strings: a table of the
+    queue's variable numbers, one of the block numbers, one of the positions
+    ``1..width`` (shared by ``i`` and ``j``) and one of the queue's distinct
+    values.  Values go through ``serialize.format_float`` once per distinct
+    value in the file.  Zero values are dropped when queued, so ``-0.0`` and
+    ``0.0`` (equal as keys, different as text) never meet.
     """
 
     def __init__(self, lines: list, width: int):
         self.lines = lines
-        self._width = width  # largest block order: (i, j) keys are i*width + j
-        self._values: dict[float, str] = {}
+        self._places = np.array([b"%d " % k for k in range(1, width + 1)])
+        self._values: dict[float, bytes] = {}
         self._queue: list = []
 
     def add(self, var, blk, rows, cols, values) -> None:
         """Queue the nonzero ``values`` at 0-based ``(rows, cols)``, in order.
 
-        ``var`` and ``blk`` are scalars or arrays with one entry per value.
+        ``var``, ``blk``, ``rows`` and ``cols`` are scalars or arrays with one
+        entry per value.
         """
         values = np.asarray(values, dtype=float)
         keep = values != 0.0
-        heads = np.broadcast_to(var * _BLOCK_KEYS + blk, values.shape)[keep]
-        places = np.broadcast_to(rows * self._width + cols, values.shape)[keep]
-        self._queue.append((heads, places, values[keep]))
+        fields = (np.broadcast_to(a, values.shape)[keep] for a in (var, blk, rows, cols))
+        self._queue.append((*fields, values[keep]))
 
     def block(self, var: int, blk: int, mat: np.ndarray) -> None:
         rows, cols = np.triu_indices(len(mat))
@@ -383,19 +384,27 @@ class _EntryLines:
         """Render the queued entries onto ``lines``."""
         if not self._queue:
             return
-        heads, places, values = (np.concatenate(a) for a in zip(*self._queue))
+        var, blk, rows, cols, values = (np.concatenate(a) for a in zip(*self._queue))
         self._queue.clear()
-        w = self._width
-        self.lines.extend(
-            map(
-                "".join,
-                zip(
-                    _texts(heads, {}, lambda k: "%d %d " % divmod(k, _BLOCK_KEYS)),
-                    _texts(places, {}, lambda k: "%d %d " % (k // w + 1, k % w + 1)),
-                    _texts(values, self._values, serialize.format_float),
-                ),
-            )
-        )
+        if not values.size:
+            return
+        # distinct values by a stable sort; index[k] is the rank of values[k]
+        order = np.argsort(values, kind="stable")
+        ranked = values[order]
+        new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+        index = np.empty(values.size, dtype=np.intp)
+        index[order] = np.cumsum(new) - 1
+        distinct = ranked[new].tolist()
+        for x in set(distinct).difference(self._values):
+            self._values[x] = serialize.format_float(x).encode()
+        value_texts = np.array(list(map(self._values.__getitem__, distinct)))
+        lo = int(var.min())
+        var_texts = np.array([b"%d " % k for k in range(lo, int(var.max()) + 1)])
+
+        add = np.char.add
+        text = add(var_texts[var - lo], _BLOCK_TEXTS[blk])
+        text = add(add(add(text, self._places[rows]), self._places[cols]), value_texts[index])
+        self.lines.extend(b"\n".join(text.tolist()).decode().split("\n"))
 
 
 def _paired(grad: np.ndarray) -> np.ndarray:
@@ -404,6 +413,35 @@ def _paired(grad: np.ndarray) -> np.ndarray:
     out[..., 0::2] = grad
     out[..., 1::2] = -grad
     return out
+
+
+def _paired_entries(grad: np.ndarray):
+    """``(t, i, i, value)`` of the nonzero diagonal entries of ``_paired(grad)[t]``."""
+    paired = _paired(grad)
+    t, i = np.nonzero(paired)
+    return t, i, i, paired[t, i]
+
+
+def _stacked_products(vecs: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``j.T @ vecs[t]`` for every row ``t``, as one stacked product.
+
+    Each ``(1, n^2) @ j`` of the stack is its own BLAS vector-matrix product
+    and rounds bitwise like ``j.T @ vecs[t].copy()`` (tested).  The two-term
+    closed form ``j[u] a + j[v] b`` of a row with two nonzeros does not: BLAS
+    fuses multiply and add, so some rows differ in the last digit.
+    """
+    return (vecs[:, None, :] @ j)[:, 0, :]
+
+
+def _add_elements(out: _EntryLines, first_var: int, parts) -> None:
+    """Queue per-block entry arrays ``(blk, t, rows, cols, values)`` of the
+    variables ``first_var + t``, element by element and in ``parts`` order
+    within an element (a stable sort on ``t`` interleaves them)."""
+    t = np.concatenate([p[1] for p in parts])
+    order = np.argsort(t, kind="stable")
+    blk = np.repeat([p[0] for p in parts], [p[1].size for p in parts])
+    rows, cols, values = (np.concatenate([p[k] for p in parts])[order] for k in (2, 3, 4))
+    out.add(first_var + t[order], blk[order], rows, cols, values)
 
 
 def _row_supports(j: np.ndarray) -> np.ndarray:
@@ -431,8 +469,9 @@ def _h_coordinate_blocks(cert: CertificateSDP, supports, u: np.ndarray, v: np.nd
     ``+ 2 sym(mat(B e))`` inside the diagonal blocks; values that come out
     exactly 0.0 are dropped.  Returns
     ``(scale, (t, rows, cols, values), grad)``: the nonzero upper-triangle
-    block-3 entries sorted by element and row-major, and
-    ``grad[t] = J_X^T vec(B e)``.
+    block-3 entries sorted by element and row-major, and the block-5
+    products ``grad[t] = J_X^T vec(B e)`` of all elements, computed by one
+    ``_stacked_products`` call.
     """
     n, r = cert.n, cert.r
     nr = n * r
@@ -474,11 +513,34 @@ def _h_coordinate_blocks(cert: CertificateSDP, supports, u: np.ndarray, v: np.nd
     mat_t = vec_be.reshape(k, n, n)
     values[in_block] += 2.0 * (0.5 * (mat_t[tb, q, p] + mat_t[tb, p, q]))
     nz = values != 0.0
-    # One matrix-vector product per element, on a freshly allocated vector: a
-    # batched matrix product may sum in another order and change digits.
-    jt = cert.j_x.T
-    grad = np.array([jt @ row.copy() for row in vec_be])
+    grad = _stacked_products(vec_be, cert.j_x)
     return scale, (t[nz], rows[nz], cols[nz], values[nz]), grad
+
+
+def _slack_blocks(cert: CertificateSDP) -> list:
+    """Per-block entries ``(blk, t, rows, cols, values)`` of the lb slack
+    coordinates, over the basis ``C_t`` of ``symmetric_basis(n)``.
+
+    ``C_t`` has the value ``c`` at ``(i, j)`` and ``(j, i)``, so block 3,
+    ``2 I_r (x) C_t``, holds ``2c`` at ``(a n + i, a n + j)`` for each ``a``,
+    and block 6 holds ``c`` at ``(i, j)``; blocks 5 and 7 pair the stacked
+    products ``J_X^T vec(C_t)`` and ``J_Z^T vec(C_t)``.
+    """
+    n, r = cert.n, cert.r
+    i, j = np.triu_indices(n)
+    elem = np.arange(i.size)
+    c = np.where(i == j, 1.0, 1.0 / math.sqrt(2.0))
+    vecs = np.zeros((i.size, n * n))
+    vecs[elem, i + n * j] = c
+    vecs[elem, j + n * i] = c
+    t3 = np.repeat(elem, r)
+    offsets = np.tile(n * np.arange(r), i.size)
+    return [
+        (3, t3, offsets + i[t3], offsets + j[t3], 2.0 * c[t3]),
+        (5, *_paired_entries(_stacked_products(vecs, cert.j_x))),
+        (6, elem, i, j, c),
+        (7, *_paired_entries(_stacked_products(vecs, cert.j_z))),
+    ]
 
 
 def sdpa_lines(cert: CertificateSDP, comments=()) -> list[str]:
@@ -488,8 +550,7 @@ def sdpa_lines(cert: CertificateSDP, comments=()) -> list[str]:
     nr = n * r
     n_h = n2 * (n2 + 1) // 2
     lb = cert.which == "lb"
-    basis_s = symmetric_basis(n) if lb else []
-    m = 2 + n_h + len(basis_s)
+    m = 2 + n_h + (n * (n + 1) // 2 if lb else 0)
 
     block_sizes = [n2, n2, nr, -2, -(2 * nr)]
     if lb:
@@ -517,8 +578,7 @@ def sdpa_lines(cert: CertificateSDP, comments=()) -> list[str]:
     # H coordinates over the orthonormal symmetric basis, enumerated as
     # index pairs (u <= v) of the n^2 space in lexicographic order and
     # realized in chunks of about SDPA_CHUNK_ENTRIES floats.  Within an
-    # element the entries run block 1, 2, 3, 5; a stable sort on the element
-    # index interleaves the per-block arrays into that order.
+    # element the entries run block 1, 2, 3, 5.
     us, vs = np.triu_indices(n2)
     supports = _row_supports(cert.j_x)
     width = supports.shape[1]
@@ -527,38 +587,35 @@ def sdpa_lines(cert: CertificateSDP, comments=()) -> list[str]:
     for start in range(0, n_h, step):
         u, v = us[start : start + step], vs[start : start + step]
         elem = np.arange(u.size)
-        scale, (t3, rows3, cols3, vals3), grad = _h_coordinate_blocks(cert, supports, u, v)
-        paired = _paired(grad)
-        t5, i5 = np.nonzero(paired)
-        t = np.concatenate([elem, elem, t3, t5])
-        order = np.argsort(t, kind="stable")
-        blk = np.repeat([1, 2, 3, 5], [elem.size, elem.size, t3.size, t5.size])
-        out.add(
-            3 + start + t[order],
-            blk[order],
-            np.concatenate([u, u, rows3, i5])[order],
-            np.concatenate([v, v, cols3, i5])[order],
-            np.concatenate([scale, -scale, vals3, paired[t5, i5]])[order],
+        scale, block3, grad = _h_coordinate_blocks(cert, supports, u, v)
+        _add_elements(
+            out,
+            3 + start,
+            [
+                (1, elem, u, v, scale),
+                (2, elem, u, v, -scale),
+                (3, *block3),
+                (5, *_paired_entries(grad)),
+            ],
         )
         out.flush()
 
-    # Slack coordinates (lb only).
-    for t, c_mat in enumerate(basis_s):
-        var = 3 + n_h + t
-        s_vec = vec(c_mat)
-        out.block(var, 3, 2.0 * np.kron(np.eye(r), c_mat))
-        out.diag(var, 5, _paired(cert.j_x.T @ s_vec))
-        out.block(var, 6, c_mat)
-        out.diag(var, 7, _paired(cert.j_z.T @ s_vec))
-    out.flush()
+    if lb:
+        _add_elements(out, 3 + n_h, _slack_blocks(cert))
+        out.flush()
     return lines
 
 
 def export_sdpa(cert: CertificateSDP, path, comments=()) -> None:
-    """Write the system to ``path`` in SDPA sparse format (deterministic)."""
-    text = "\n".join(sdpa_lines(cert, comments)) + "\n"
+    """Write the system to ``path`` in SDPA sparse format (deterministic).
+
+    The lines are written in slices of ``SDPA_WRITE_LINES``, so only one
+    slice's text is held next to the line list.
+    """
+    lines = sdpa_lines(cert, comments)
     with open(path, "w") as fh:
-        fh.write(text)
+        for start in range(0, len(lines), SDPA_WRITE_LINES):
+            fh.write("\n".join(lines[start : start + SDPA_WRITE_LINES]) + "\n")
 
 
 def parse_sdpa(text: str) -> dict:

@@ -17,7 +17,9 @@ factor ``x_spur``, the objective (which owns the ground truth ``Z``) and
 the claimed ``kappa``.  It derives ``n``, ``r``, ``r_star``, ``q`` and
 ``z`` from those matrices.  Records still carry copies of the derived
 facts, and :meth:`CounterexampleInstance.from_obj` rejects any copy that
-disagrees with its matrices, naming the field.
+disagrees with its matrices, naming the field.  It also rejects a record of
+the ``standard`` or ``random`` basis mode whose ``kappa`` is not exactly
+``1 + 2 sqrt(q)``.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ class CounterexampleInstance:
     shape of ``x_spur``, the ground truth ``z`` and its rank ``r_star``
     belong to the objective, and ``q = r - r_star + 1``; so no copy of a
     fact can disagree with the matrices it describes.  ``kappa`` is the
-    construction's claimed condition number, stored as built.
+    construction's claimed condition number, stored as built; records of
+    the two :func:`build` basis modes must claim ``1 + 2 sqrt(q)`` exactly.
     """
 
     kappa: float
@@ -106,7 +109,10 @@ class CounterexampleInstance:
         """Load a record, rejecting any stored copy its matrices contradict.
 
         A record whose ranks break ``r >= r_star`` (so ``q < 1``) is
-        rejected too: no spurious-point formula holds for it.
+        rejected too: no spurious-point formula holds for it.  A record of a
+        :func:`build` basis mode must claim exactly the construction's
+        ``kappa = 1 + 2 sqrt(q)``; checking the claim against the spectrum
+        of the objective would take an eigensolver call at every load.
         """
         if not isinstance(obj, dict) or obj.get("kind") != "counterexample":
             raise ValueError("record is not a counterexample instance")
@@ -143,6 +149,13 @@ class CounterexampleInstance:
                 f"record has r={inst.r} below r_star={inst.r_star} (q={inst.q}); "
                 "an instance needs r >= r_star, so q >= 1"
             )
+        if inst.basis_mode in ("standard", "random"):
+            kappa = 1.0 + 2.0 * math.sqrt(inst.q)
+            if inst.kappa != kappa:
+                raise ValueError(
+                    f"record field kappa={obj['kappa']!r} disagrees with its "
+                    f"matrices (kappa=1+2*sqrt(q)={kappa!r} at q={inst.q})"
+                )
         return inst
 
 

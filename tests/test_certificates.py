@@ -1,11 +1,12 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bmlandscape import bounds, certificates as certs, counterexample as ce
+from bmlandscape import bounds, certificates as certs, counterexample as ce, serialize
 from bmlandscape.matkernel import vec
 from bmlandscape.objective import symmetric_basis
 
@@ -241,6 +242,100 @@ def test_export_sdpa_byte_identical(tmp_path):
     certs.export_sdpa(cert, p1)
     certs.export_sdpa(cert, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_export_sdpa_writes_the_pinned_bytes_in_slices(tmp_path):
+    # (8,5,2) ub has more lines than one write slice
+    inst = ce.build(8, 5, 2)
+    cert = certs.assemble(inst.x_spur, inst.z, "ub")
+    path = tmp_path / "ub.dat-s"
+    certs.export_sdpa(cert, path)
+    data = path.read_bytes()
+    assert data.count(b"\n") > 2 * certs.SDPA_WRITE_LINES
+    assert hashlib.sha256(data).hexdigest() == SDPA_SHA256[((8, 5, 2), None, "ub")]
+
+
+# pairs whose entries have 3-digit exponents (a column scaled by 1e-55,
+# factors scaled by 1e55) or are all negative in X
+RENDER_PAIRS = {
+    "column-1e-55": lambda g: (g.standard_normal((4, 2)) * [1.0, 1e-55], g.standard_normal((4, 1))),
+    "scaled-1e55": lambda g: (1e55 * g.standard_normal((3, 2)), 1e55 * g.standard_normal((3, 1))),
+    "negative": lambda g: (-np.abs(g.standard_normal((4, 3))), g.standard_normal((4, 2))),
+}
+
+
+@pytest.mark.parametrize("name", list(RENDER_PAIRS))
+@pytest.mark.parametrize("which", ["ub", "lb"])
+def test_sdpa_entry_lines_render_their_own_parse(name, which):
+    x, z = RENDER_PAIRS[name](np.random.default_rng(SEED + 5))
+    lines = certs.sdpa_lines(certs.assemble(x, z, which))
+    assert all(lines)
+    entries = lines[4:]
+    for line in entries:
+        var, blk, i, j, val = line.split(" ")
+        text = serialize.format_float(float(val))
+        assert line == "%d %d %d %d %s" % (int(var), int(blk), int(i), int(j), text)
+    if name != "negative":
+        assert any(re.search(r"e[-+][0-9]{3}$", line) for line in entries)
+
+
+def test_entry_lines_of_zero_values_render_nothing():
+    lines = []
+    out = certs._EntryLines(lines, 4)
+    out.diag(3, 5, [0.0, -0.0, 0.0])
+    out.block(4, 1, np.zeros((2, 2)))
+    out.flush()
+    assert lines == []
+
+
+def _realized_diagonals(parsed, blk):
+    """Dense ``[var, k]`` diagonal of block ``blk`` from parsed entries."""
+    e = np.array(parsed["entries"])
+    e = e[e[:, 1] == blk]
+    out = np.zeros((parsed["m"] + 1, abs(parsed["block_sizes"][blk - 1])))
+    out[e[:, 0].astype(int), e[:, 2].astype(int) - 1] = e[:, 4]
+    return out
+
+
+@pytest.mark.parametrize(
+    "dims,basis_seed",
+    [((4, 2, 1), None), ((5, 3, 2), None), ((6, 4, 2), None), ((5, 3, 2), 11), ((6, 4, 1), 123)],
+)
+@pytest.mark.parametrize("which", ["ub", "lb"])
+def test_stacked_products_match_one_product_per_row(dims, basis_seed, which):
+    # entries are written with 17 significant digits, so their parse is the
+    # emitted double; each row must equal J^T v on a freshly allocated v
+    if basis_seed is None:
+        inst = ce.build(*dims)
+    else:
+        inst = ce.build(*dims, basis_mode="random", seed=basis_seed)
+    cert = certs.assemble(inst.x_spur, inst.z, which)
+    parsed = certs.parse_sdpa("\n".join(certs.sdpa_lines(cert)))
+    n = cert.n
+    n2 = n * n
+
+    def paired(j, v):
+        g = j.T @ v.copy()
+        return np.column_stack([g, -g]).ravel()
+
+    rows5 = _realized_diagonals(parsed, 5)
+    var = 3
+    for u in range(n2):
+        for v in range(u, n2):
+            scale = 1.0 if u == v else 1.0 / math.sqrt(2.0)
+            be = np.zeros(n2)
+            be[u] = scale * cert.e[v]
+            be[v] = scale * cert.e[u]
+            assert np.array_equal(rows5[var], paired(cert.j_x, be)), (u, v)
+            var += 1
+    if which == "lb":
+        rows7 = _realized_diagonals(parsed, 7)
+        for c in symmetric_basis(n):
+            s = vec(c)
+            assert np.array_equal(rows5[var], paired(cert.j_x, s))
+            assert np.array_equal(rows7[var], paired(cert.j_z, s))
+            var += 1
+    assert var == parsed["m"] + 1
 
 
 def test_sdpa_header_structure():

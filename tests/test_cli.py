@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -229,6 +230,21 @@ def test_rank_below_target_rank_is_input_error(capsys, tmp_path, command):
     rc, out, err = run(capsys, *instance_subcommand(command, path, tmp_path))
     assert rc == 2
     assert err.startswith("error:") and "r=1 below r_star=3 (q=-1)" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "cert.dat-s").exists()
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_kappa_off_the_construction_is_input_error(capsys, tmp_path, command):
+    # a built record must claim exactly 1 + 2 sqrt(q); one ulp above is a lie
+    path = build_instance(capsys, tmp_path)
+    record = json.loads(path.read_text())
+    record["kappa"] = math.nextafter(record["kappa"], 10.0)
+    path.write_text(json.dumps(record))
+    rc, out, err = run(capsys, *instance_subcommand(command, path, tmp_path))
+    assert rc == 2
+    assert err.startswith("error:") and "record field kappa=" in err
     assert "Traceback" not in err
     assert out == ""
     assert not (tmp_path / "cert.dat-s").exists()

@@ -232,3 +232,17 @@ def test_from_obj_rejects_any_scalar_change_and_round_trips_untouched(
     assume(record[field] != getattr(inst, field))  # delta 0, or 4 + 1e-87 == 4
     with pytest.raises(ValueError, match=f"record field {field}="):
         ce.CounterexampleInstance.from_obj(record)
+
+
+@pytest.mark.parametrize("dims,basis_seed", [((5, 3, 2), None), ((6, 4, 1), 9)])
+@pytest.mark.parametrize("direction", [0.0, 10.0])
+def test_from_obj_rejects_kappa_one_ulp_off_the_construction(dims, basis_seed, direction):
+    if basis_seed is None:
+        inst = ce.build(*dims)
+    else:
+        inst = ce.build(*dims, basis_mode="random", seed=basis_seed)
+    record = inst.to_obj()
+    assert ce.CounterexampleInstance.from_obj(record).kappa == 1.0 + 2.0 * math.sqrt(inst.q)
+    record["kappa"] = math.nextafter(record["kappa"], direction)
+    with pytest.raises(ValueError, match="record field kappa="):
+        ce.CounterexampleInstance.from_obj(record)
