@@ -346,48 +346,32 @@ _BLOCK_TEXTS = np.array([b"%d " % blk for blk in range(8)])
 class _EntryLines:
     """SDPA entry lines ``var blk i j value`` rendered from small string tables.
 
-    ``add`` queues entries as arrays; ``flush`` renders the queue with one
-    ``np.char.add`` per field over fixed-width byte strings: a table of the
-    queue's variable numbers, one of the block numbers, one of the positions
-    ``1..width`` (shared by ``i`` and ``j``) and one of the queue's distinct
-    values.  Values go through ``serialize.format_float`` once per distinct
-    value in the file.  Zero values are dropped when queued, so ``-0.0`` and
-    ``0.0`` (equal as keys, different as text) never meet.
+    Each ``add`` renders its entries with one ``np.char.add`` per field over
+    fixed-width byte strings: a table of the call's variable numbers, one of
+    the block numbers, one of the positions ``1..width`` (shared by ``i`` and
+    ``j``) and one of the call's distinct values.  Values go through
+    ``serialize.format_float`` once per distinct value in the file.  Zero
+    values are dropped, so ``-0.0`` and ``0.0`` (equal as keys, different as
+    text) never meet, and a call whose values are all zero renders nothing.
     """
 
     def __init__(self, lines: list, width: int):
         self.lines = lines
         self._places = np.array([b"%d " % k for k in range(1, width + 1)])
         self._values: dict[float, bytes] = {}
-        self._queue: list = []
 
     def add(self, var, blk, rows, cols, values) -> None:
-        """Queue the nonzero ``values`` at 0-based ``(rows, cols)``, in order.
+        """Render the nonzero ``values`` at 0-based ``(rows, cols)``, in order.
 
         ``var``, ``blk``, ``rows`` and ``cols`` are scalars or arrays with one
         entry per value.
         """
         values = np.asarray(values, dtype=float)
         keep = values != 0.0
-        fields = (np.broadcast_to(a, values.shape)[keep] for a in (var, blk, rows, cols))
-        self._queue.append((*fields, values[keep]))
-
-    def block(self, var: int, blk: int, mat: np.ndarray) -> None:
-        rows, cols = np.triu_indices(len(mat))
-        self.add(var, blk, rows, cols, mat[rows, cols])
-
-    def diag(self, var: int, blk: int, values) -> None:
-        idx = np.arange(len(values))
-        self.add(var, blk, idx, idx, values)
-
-    def flush(self) -> None:
-        """Render the queued entries onto ``lines``."""
-        if not self._queue:
+        if not keep.any():
             return
-        var, blk, rows, cols, values = (np.concatenate(a) for a in zip(*self._queue))
-        self._queue.clear()
-        if not values.size:
-            return
+        fields = (var, blk, rows, cols, values)
+        var, blk, rows, cols, values = (np.broadcast_to(a, keep.shape)[keep] for a in fields)
         # distinct values by a stable sort; index[k] is the rank of values[k]
         order = np.argsort(values, kind="stable")
         ranked = values[order]
@@ -405,6 +389,14 @@ class _EntryLines:
         text = add(var_texts[var - lo], _BLOCK_TEXTS[blk])
         text = add(add(add(text, self._places[rows]), self._places[cols]), value_texts[index])
         self.lines.extend(b"\n".join(text.tolist()).decode().split("\n"))
+
+    def block(self, var: int, blk: int, mat: np.ndarray) -> None:
+        rows, cols = np.triu_indices(len(mat))
+        self.add(var, blk, rows, cols, mat[rows, cols])
+
+    def diag(self, var: int, blk: int, values) -> None:
+        idx = np.arange(len(values))
+        self.add(var, blk, idx, idx, values)
 
 
 def _paired(grad: np.ndarray) -> np.ndarray:
@@ -434,7 +426,7 @@ def _stacked_products(vecs: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def _add_elements(out: _EntryLines, first_var: int, parts) -> None:
-    """Queue per-block entry arrays ``(blk, t, rows, cols, values)`` of the
+    """Render per-block entry arrays ``(blk, t, rows, cols, values)`` of the
     variables ``first_var + t``, element by element and in ``parts`` order
     within an element (a stable sort on ``t`` interleaves them)."""
     t = np.concatenate([p[1] for p in parts])
@@ -598,11 +590,9 @@ def sdpa_lines(cert: CertificateSDP, comments=()) -> list[str]:
                 (5, *_paired_entries(grad)),
             ],
         )
-        out.flush()
 
     if lb:
         _add_elements(out, 3 + n_h, _slack_blocks(cert))
-        out.flush()
     return lines
 
 
