@@ -339,10 +339,6 @@ def cos_theta_witness(x, z, tau: float, tol: float = DEFAULT_TOL):
 #   7: -(2nr*)  (lb only) paired inequalities for J_Z^T s = 0
 
 
-# "%d " texts of the block numbers; entry 0 only pads the table.
-_BLOCK_TEXTS = np.array([b"%d " % blk for blk in range(8)])
-
-
 class _EntryLines:
     """SDPA entry lines ``var blk i j value`` rendered from small string tables.
 
@@ -358,6 +354,7 @@ class _EntryLines:
     def __init__(self, lines: list, width: int):
         self.lines = lines
         self._places = np.array([b"%d " % k for k in range(1, width + 1)])
+        self._blocks = np.array([b"%d " % blk for blk in range(8)])  # 0 only pads
         self._values: dict[float, bytes] = {}
 
     def add(self, var, blk, rows, cols, values) -> None:
@@ -386,7 +383,7 @@ class _EntryLines:
         var_texts = np.array([b"%d " % k for k in range(lo, int(var.max()) + 1)])
 
         add = np.char.add
-        text = add(var_texts[var - lo], _BLOCK_TEXTS[blk])
+        text = add(var_texts[var - lo], self._blocks[blk])
         text = add(add(add(text, self._places[rows]), self._places[cols]), value_texts[index])
         self.lines.extend(b"\n".join(text.tolist()).decode().split("\n"))
 
