@@ -360,15 +360,13 @@ class _EntryLines:
     def add(self, var, blk, rows, cols, values) -> None:
         """Render the nonzero ``values`` at 0-based ``(rows, cols)``, in order.
 
-        ``var``, ``blk``, ``rows`` and ``cols`` are scalars or arrays with one
-        entry per value.
+        The five arguments are arrays with one entry per value.
         """
-        values = np.asarray(values, dtype=float)
         keep = values != 0.0
-        if not keep.any():
-            return
-        fields = (var, blk, rows, cols, values)
-        var, blk, rows, cols, values = (np.broadcast_to(a, keep.shape)[keep] for a in fields)
+        if not keep.all():
+            var, blk, rows, cols, values = (a[keep] for a in (var, blk, rows, cols, values))
+            if not values.size:
+                return
         # distinct values by a stable sort; index[k] is the rank of values[k]
         order = np.argsort(values, kind="stable")
         ranked = values[order]
@@ -389,11 +387,12 @@ class _EntryLines:
 
     def block(self, var: int, blk: int, mat: np.ndarray) -> None:
         rows, cols = np.triu_indices(len(mat))
-        self.add(var, blk, rows, cols, mat[rows, cols])
+        self.add(np.full(rows.size, var), np.full(rows.size, blk), rows, cols, mat[rows, cols])
 
     def diag(self, var: int, blk: int, values) -> None:
-        idx = np.arange(len(values))
-        self.add(var, blk, idx, idx, values)
+        values = np.asarray(values, dtype=float)
+        idx = np.arange(values.size)
+        self.add(np.full(idx.size, var), np.full(idx.size, blk), idx, idx, values)
 
 
 def _paired(grad: np.ndarray) -> np.ndarray:
