@@ -365,8 +365,8 @@ class _EntryLines:
         keep = values != 0.0
         if not keep.all():
             var, blk, rows, cols, values = (a[keep] for a in (var, blk, rows, cols, values))
-            if not values.size:
-                return
+        if not values.size:
+            return
         # distinct values by a stable sort; index[k] is the rank of values[k]
         order = np.argsort(values, kind="stable")
         ranked = values[order]

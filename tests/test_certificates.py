@@ -284,6 +284,7 @@ def test_entry_lines_of_zero_values_render_nothing():
     out = certs._EntryLines(lines, 4)
     out.diag(3, 5, [0.0, -0.0, 0.0])
     out.block(4, 1, np.zeros((2, 2)))
+    out.diag(5, 7, [])
     assert lines == []
 
 
