@@ -20,17 +20,18 @@ and a row of ``J_X`` at most ``2r``, so the block-3 matrix
 ``J_X^T B J_X + 2 I_r (x) sym(mat(B e))`` is evaluated only at the pairs of
 ``supp J[u] x supp J[v]`` and the few diagonal-block positions of
 ``mat(B e)``: at most ``4r^2 + 2r`` upper-triangle candidates instead of
-``(nr)^2`` dense positions.  The block-5 products ``J_X^T vec(B e)`` of a
-chunk of elements, and the slack products of the lb system, are one stacked
-matmul each, bitwise equal to one product per element.  Entry lines are
-rendered a chunk at a time by ``np.char.add`` over small byte-string
-tables: the positions ``1..w`` and the block numbers per file, the chunk's
-variable numbers, and the texts of its distinct values, each distinct value
-formatted once per file.
+``(nr)^2`` dense positions.  The whole system is realized in one pass, as
+five entry columns ``(var, blk, i, j, value)`` in file order; the block-5
+products ``J_X^T vec(B e)`` of all elements, and the slack products of the
+lb system, are one stacked matmul each, bitwise equal to one product per
+element.  The columns are rendered by ``np.char.add`` over two small
+byte-string tables, the numbers ``0..max(m, w)`` and the texts of the
+distinct values, each distinct value formatted once per file.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -65,19 +66,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 
-# SDPA export realizes the H coordinates in chunks of about this many
-# float64 values (64 KiB).  Per basis element it holds vec(B e) (n^2 values),
-# the paired gradient (2nr) and its block-3 candidates: 2r, plus w^2 for ub
-# with w <= 2r the widest row support of J_X.  A chunk covers 35 elements of
-# a dense-basis (7,5,2) ub system and 34 of the standard-basis (10,6,2) one;
-# its entry lines are rendered together, so the chunk also bounds the
-# rendering's byte-string arrays.  Each chunk pays a fixed overhead of about
-# 100 numpy calls: sdpa_lines on the benchmark's six exports took 1.24x as
-# long at 2^12 as at 2^13 and 0.80x at 2^14, where the certify_export peak
-# RSS was 0.8 MB higher.
-SDPA_CHUNK_ENTRIES = 1 << 13
-
-# export_sdpa writes this many lines per write call (about 150 KB of text).
+# Entry lines are rendered, and export_sdpa writes them, this many at a time
+# (about 150 KB of text).
 SDPA_WRITE_LINES = 1 << 12
 
 # Residual names measured as norms (feasible iff <= tol); all other
@@ -156,7 +146,8 @@ def assemble(x, z, which: str) -> CertificateSDP:
         e = vec(x @ x.T - z @ z.T)
     if not np.all(np.isfinite(e)):
         raise ValueError("residual X X^T - Z Z^T overflows float64")
-    if np.linalg.norm(e) <= 1e-12:
+    # ||e|| >= max |e_k|: the norm is taken only where it cannot overflow
+    if np.abs(e).max() <= 1e-12 and np.linalg.norm(e) <= 1e-12:
         raise ValueError(
             "factor pair has identical Gram matrices; the systems require "
             "a nonzero residual"
@@ -339,60 +330,36 @@ def cos_theta_witness(x, z, tau: float, tol: float = DEFAULT_TOL):
 #   7: -(2nr*)  (lb only) paired inequalities for J_Z^T s = 0
 
 
-class _EntryLines:
-    """SDPA entry lines ``var blk i j value`` rendered from small string tables.
+def _entry_lines(var, blk, rows, cols, values) -> list[str]:
+    """SDPA entry lines ``var blk i j value`` of the nonzero entries, in order.
 
-    Each ``add`` renders its entries with one ``np.char.add`` per field over
-    fixed-width byte strings: a table of the call's variable numbers, one of
-    the block numbers, one of the positions ``1..width`` (shared by ``i`` and
-    ``j``) and one of the call's distinct values.  Values go through
-    ``serialize.format_float`` once per distinct value in the file.  Zero
-    values are dropped, so ``-0.0`` and ``0.0`` (equal as keys, different as
-    text) never meet, and a call whose values are all zero renders nothing.
+    The five arguments are arrays with one entry each, positions 0-based.
+    Zero values are dropped, so ``-0.0`` and ``0.0`` (equal as keys,
+    different as text) never meet.  Each distinct value goes through
+    ``serialize.format_float`` once; the lines are then rendered
+    ``SDPA_WRITE_LINES`` at a time with one ``np.char.add`` per field over
+    fixed-width byte strings: a table of the numbers ``0..top`` (variables,
+    blocks and 1-based positions) and one of the distinct values' texts.
     """
+    keep = values != 0.0
+    if not keep.all():
+        var, blk, rows, cols, values = (a[keep] for a in (var, blk, rows, cols, values))
+    if not values.size:
+        return []
+    distinct, index = np.unique(values, return_inverse=True)
+    value_texts = np.array([serialize.format_float(x).encode() for x in distinct.tolist()])
+    top = max(int(var.max()), int(blk.max()), int(rows.max()) + 1, int(cols.max()) + 1)
+    numbers = np.array([b"%d " % k for k in range(top + 1)])
 
-    def __init__(self, lines: list, width: int):
-        self.lines = lines
-        self._places = np.array([b"%d " % k for k in range(1, width + 1)])
-        self._blocks = np.array([b"%d " % blk for blk in range(8)])  # 0 only pads
-        self._values: dict[float, bytes] = {}
-
-    def add(self, var, blk, rows, cols, values) -> None:
-        """Render the nonzero ``values`` at 0-based ``(rows, cols)``, in order.
-
-        The five arguments are arrays with one entry per value.
-        """
-        keep = values != 0.0
-        if not keep.all():
-            var, blk, rows, cols, values = (a[keep] for a in (var, blk, rows, cols, values))
-        if not values.size:
-            return
-        # distinct values by a stable sort; index[k] is the rank of values[k]
-        order = np.argsort(values, kind="stable")
-        ranked = values[order]
-        new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-        index = np.empty(values.size, dtype=np.intp)
-        index[order] = np.cumsum(new) - 1
-        distinct = ranked[new].tolist()
-        for x in set(distinct).difference(self._values):
-            self._values[x] = serialize.format_float(x).encode()
-        value_texts = np.array(list(map(self._values.__getitem__, distinct)))
-        lo = int(var.min())
-        var_texts = np.array([b"%d " % k for k in range(lo, int(var.max()) + 1)])
-
-        add = np.char.add
-        text = add(var_texts[var - lo], self._blocks[blk])
-        text = add(add(add(text, self._places[rows]), self._places[cols]), value_texts[index])
-        self.lines.extend(b"\n".join(text.tolist()).decode().split("\n"))
-
-    def block(self, var: int, blk: int, mat: np.ndarray) -> None:
-        rows, cols = np.triu_indices(len(mat))
-        self.add(np.full(rows.size, var), np.full(rows.size, blk), rows, cols, mat[rows, cols])
-
-    def diag(self, var: int, blk: int, values) -> None:
-        values = np.asarray(values, dtype=float)
-        idx = np.arange(values.size)
-        self.add(np.full(idx.size, var), np.full(idx.size, blk), idx, idx, values)
+    add = np.char.add
+    lines: list[str] = []
+    for start in range(0, values.size, SDPA_WRITE_LINES):
+        part = slice(start, start + SDPA_WRITE_LINES)
+        text = add(numbers[var[part]], numbers[blk[part]])
+        text = add(add(text, numbers[rows[part] + 1]), numbers[cols[part] + 1])
+        text = add(text, value_texts[index[part]])
+        lines.extend(b"\n".join(text.tolist()).decode().split("\n"))
+    return lines
 
 
 def _paired(grad: np.ndarray) -> np.ndarray:
@@ -421,15 +388,16 @@ def _stacked_products(vecs: np.ndarray, j: np.ndarray) -> np.ndarray:
     return (vecs[:, None, :] @ j)[:, 0, :]
 
 
-def _add_elements(out: _EntryLines, first_var: int, parts) -> None:
-    """Render per-block entry arrays ``(blk, t, rows, cols, values)`` of the
-    variables ``first_var + t``, element by element and in ``parts`` order
-    within an element (a stable sort on ``t`` interleaves them)."""
+def _by_element(first_var: int, parts):
+    """Entry columns ``(var, blk, rows, cols, values)`` of per-block parts
+    ``(blk, t, rows, cols, values)`` of the variables ``first_var + t``,
+    element by element and in ``parts`` order within an element (a stable
+    sort on ``t`` interleaves them)."""
     t = np.concatenate([p[1] for p in parts])
     order = np.argsort(t, kind="stable")
     blk = np.repeat([p[0] for p in parts], [p[1].size for p in parts])
     rows, cols, values = (np.concatenate([p[k] for p in parts])[order] for k in (2, 3, 4))
-    out.add(first_var + t[order], blk[order], rows, cols, values)
+    return first_var + t[order], blk[order], rows, cols, values
 
 
 def _row_supports(j: np.ndarray) -> np.ndarray:
@@ -531,6 +499,39 @@ def _slack_blocks(cert: CertificateSDP) -> list:
     ]
 
 
+def _sdpa_entries(cert: CertificateSDP):
+    """Entry columns ``(var, blk, rows, cols, values)`` of the whole system in
+    file order, positions 0-based; values may be zero."""
+    n2 = cert.n * cert.n
+    n_h = n2 * (n2 + 1) // 2
+    # F_0 (only block 1 has a right-hand side, the identity from H - I), then
+    # kappa_plus (variable 1) and kappa_minus (variable 2), as pieces
+    # (var, blk, rows, cols, values) with scalar var and blk
+    diag, ones = np.arange(n2), np.ones(n2)
+    pieces = [(0, 1, diag, diag, ones)]
+    for var, sign in ((1, 1.0), (2, -1.0)):
+        pieces.append((var, 2, diag, diag, sign * ones))
+        if cert.which == "lb":
+            rows, cols = np.triu_indices(cert.n * cert.r)
+            pieces.append((var, 3, rows, cols, sign * (cert.j_x.T @ cert.j_x)[rows, cols]))
+    pair = np.arange(2)
+    pieces += [(1, 4, pair[:1], pair[:1], ones[:1]), (2, 4, pair[1:], pair[1:], ones[:1])]
+    columns = [[np.full(p[2].size, p[k]) for p in pieces] for k in (0, 1)]
+    columns += [[p[k] for p in pieces] for k in (2, 3, 4)]
+
+    # H coordinates over the orthonormal symmetric basis, enumerated as
+    # index pairs (u <= v) of the n^2 space in lexicographic order.  Within
+    # an element the entries run block 1, 2, 3, 5.
+    u, v = np.triu_indices(n2)
+    elem = np.arange(n_h)
+    scale, block3, grad = _h_coordinate_blocks(cert, _row_supports(cert.j_x), u, v)
+    parts = [(1, elem, u, v, scale), (2, elem, u, v, -scale), (3, *block3), (5, *_paired_entries(grad))]
+    tails = [_by_element(3, parts)]
+    if cert.which == "lb":
+        tails.append(_by_element(3 + n_h, _slack_blocks(cert)))
+    return tuple(np.concatenate(col + [t[k] for t in tails]) for k, col in enumerate(columns))
+
+
 def sdpa_lines(cert: CertificateSDP, comments=()) -> list[str]:
     """Render the assembled system as SDPA sparse-format lines."""
     n, r, r_star = cert.n, cert.r, cert.r_star
@@ -551,44 +552,7 @@ def sdpa_lines(cert: CertificateSDP, comments=()) -> list[str]:
     one, minus_one, zero = (serialize.format_float(v) for v in (1.0, -1.0, 0.0))
     lines.append(" ".join([one, minus_one] + [zero] * (m - 2)))
 
-    out = _EntryLines(lines, max(abs(b) for b in block_sizes))
-    # F_0: only block 1 has a right-hand side (the identity from H - I).
-    out.diag(0, 1, np.ones(n2))
-
-    # kappa_plus (variable 1) and kappa_minus (variable 2)
-    for var, sign in ((1, 1.0), (2, -1.0)):
-        out.diag(var, 2, sign * np.ones(n2))
-        if lb:
-            out.block(var, 3, sign * (cert.j_x.T @ cert.j_x))
-    out.diag(1, 4, [1.0, 0.0])
-    out.diag(2, 4, [0.0, 1.0])
-
-    # H coordinates over the orthonormal symmetric basis, enumerated as
-    # index pairs (u <= v) of the n^2 space in lexicographic order and
-    # realized in chunks of about SDPA_CHUNK_ENTRIES floats.  Within an
-    # element the entries run block 1, 2, 3, 5.
-    us, vs = np.triu_indices(n2)
-    supports = _row_supports(cert.j_x)
-    width = supports.shape[1]
-    per_element = n2 + 2 * nr + 2 * r + (0 if lb else width * width)  # see SDPA_CHUNK_ENTRIES
-    step = max(1, SDPA_CHUNK_ENTRIES // per_element)
-    for start in range(0, n_h, step):
-        u, v = us[start : start + step], vs[start : start + step]
-        elem = np.arange(u.size)
-        scale, block3, grad = _h_coordinate_blocks(cert, supports, u, v)
-        _add_elements(
-            out,
-            3 + start,
-            [
-                (1, elem, u, v, scale),
-                (2, elem, u, v, -scale),
-                (3, *block3),
-                (5, *_paired_entries(grad)),
-            ],
-        )
-
-    if lb:
-        _add_elements(out, 3 + n_h, _slack_blocks(cert))
+    lines += _entry_lines(*_sdpa_entries(cert))
     return lines
 
 
@@ -605,26 +569,30 @@ def export_sdpa(cert: CertificateSDP, path, comments=()) -> None:
 
 
 def parse_sdpa(text: str) -> dict:
-    """Parse SDPA sparse text back into its numeric pieces (test oracle)."""
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith(("*", '"'))
-    ]
-    m = int(lines[0])
-    nblocks = int(lines[1])
-    block_sizes = [int(tok) for tok in lines[2].split()]
+    """Parse SDPA sparse text back into its numeric pieces (test oracle).
+
+    ``entries`` is an ``(N, 5)`` float array of the entry lines
+    ``var blk i j value``, in file order.
+    """
+    fh = io.BytesIO(text.encode())
+    header = []
+    while len(header) < 4:
+        line = fh.readline()
+        if not line:
+            raise ValueError("SDPA text ends inside its header")
+        line = line.strip()
+        if line and not line.startswith((b"*", b'"')):
+            header.append(line)
+    m = int(header[0])
+    nblocks = int(header[1])
+    block_sizes = [int(tok) for tok in header[2].split()]
     if len(block_sizes) != nblocks:
         raise ValueError("block count does not match declared number of blocks")
-    c = [float(tok) for tok in lines[3].split()]
+    c = [float(tok) for tok in header[3].split()]
     if len(c) != m:
         raise ValueError("objective length does not match variable count")
-    entries = []
-    for ln in lines[4:]:
-        toks = ln.split()
-        if len(toks) != 5:
-            raise ValueError(f"malformed entry line: {ln!r}")
-        entries.append(
-            (int(toks[0]), int(toks[1]), int(toks[2]), int(toks[3]), float(toks[4]))
-        )
-    return {"m": m, "block_sizes": block_sizes, "c": c, "entries": entries}
+    # loadtxt raises ValueError on a non-numeric token or a changing field count
+    entries = np.loadtxt(fh, ndmin=2, comments=("*", '"'))
+    if entries.size and (entries.shape[1] != 5 or np.any(entries[:, :4] % 1.0)):
+        raise ValueError("malformed entry lines: each must be 'var blk i j value' with integer indices")
+    return {"m": m, "block_sizes": block_sizes, "c": c, "entries": entries.reshape(-1, 5)}

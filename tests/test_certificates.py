@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ def test_assemble_rejects_overflowing_residual():
     ):
         with pytest.raises(ValueError, match="residual X X\\^T - Z Z\\^T overflows float64"):
             certs.assemble(x, z, "ub")
+
+
+def test_assemble_takes_the_residual_norm_without_overflow():
+    rng = np.random.default_rng(SEED + 6)
+    x = 1e80 * rng.standard_normal((3, 2))
+    z = 1e80 * rng.standard_normal((3, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = certs.assemble(x, z, "ub")
+    assert np.all(np.isfinite(cert.e))
+    # X X^T = Z Z^T with Z = X Q for an orthogonal Q: still rejected
+    c, s = math.cos(0.3), math.sin(0.3)
+    with pytest.raises(ValueError, match="identical Gram matrices"):
+        certs.assemble(x / 1e80, x / 1e80 @ np.array([[c, -s], [s, c]]), "ub")
 
 
 # -- feasibility verification -----------------------------------------------------
@@ -280,12 +295,16 @@ def test_sdpa_entry_lines_render_their_own_parse(name, which):
 
 
 def test_entry_lines_of_zero_values_render_nothing():
-    lines = []
-    out = certs._EntryLines(lines, 4)
-    out.diag(3, 5, [0.0, -0.0, 0.0])
-    out.block(4, 1, np.zeros((2, 2)))
-    out.diag(5, 7, [])
-    assert lines == []
+    def render(var, blk, rows, cols, values):
+        values = np.asarray(values, dtype=float)
+        full = np.full(values.size, 1, dtype=np.intp)
+        return certs._entry_lines(var * full, blk * full, rows, cols, values)
+
+    diag = np.arange(3)
+    assert render(3, 5, diag, diag, [0.0, -0.0, 0.0]) == []
+    rows, cols = np.triu_indices(2)
+    assert render(4, 1, rows, cols, np.zeros((2, 2))[rows, cols]) == []
+    assert render(5, 7, diag[:0], diag[:0], []) == []
 
 
 def _realized_diagonals(parsed, blk):
@@ -357,7 +376,11 @@ def test_sdpa_header_structure():
 
 def test_parse_sdpa_rejects_malformed():
     with pytest.raises(ValueError):
-        certs.parse_sdpa("2\n1\n4 4\n1.0 -1.0\n1 1 1\n")  # short entry line
+        certs.parse_sdpa("2\n1\n4\n1.0 -1.0\n1 1 1\n")  # short entry line
+    with pytest.raises(ValueError):
+        certs.parse_sdpa("2\n1\n4\n1.0 -1.0\n1 1 1 1 one\n")  # non-numeric token
+    with pytest.raises(ValueError):
+        certs.parse_sdpa("2\n1\n4\n1.0 -1.0\n1.5 1 1 1 2.0\n")  # non-integer index
     with pytest.raises(ValueError):
         certs.parse_sdpa("2\n3\n4\n1.0 -1.0\n")  # block count mismatch
 
@@ -367,7 +390,8 @@ def _dense_blocks(parsed, var):
     blocks = {}
     for b, size in enumerate(parsed["block_sizes"], start=1):
         blocks[b] = np.zeros((abs(size), abs(size)))
-    for matno, blkno, i, j, val in parsed["entries"]:
+    for *index, val in parsed["entries"]:
+        matno, blkno, i, j = map(int, index)
         if matno != var:
             continue
         m = blocks[blkno]
@@ -531,7 +555,7 @@ def test_sdpa_entries_realize_both_systems(pair):
     for which in ("ub", "lb"):
         cert = certs.assemble(x, z, which)
         parsed = certs.parse_sdpa("\n".join(certs.sdpa_lines(cert)))
-        entries = parsed["entries"]
+        entries = [(*map(int, row[:4]), row[4]) for row in parsed["entries"].tolist()]
         sizes = parsed["block_sizes"]
 
         keys = [(var, blk, i, j) for var, blk, i, j, _ in entries]
