@@ -70,10 +70,10 @@ def sym_eig(s):
     return w[::-1], v[:, ::-1]
 
 
-def pinv(a, tol_scale: float = PINV_TOL_SCALE) -> np.ndarray:
+def pinv(a) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with an explicit rank cutoff.
 
-    Singular values at or below ``tol_scale * max(rows, cols)`` times the
+    Singular values at or below ``PINV_TOL_SCALE * max(rows, cols)`` times the
     largest singular value are treated as zero.  The zero matrix maps to the
     zero matrix.
     """
@@ -84,7 +84,7 @@ def pinv(a, tol_scale: float = PINV_TOL_SCALE) -> np.ndarray:
         raise ValueError("pinv input must be finite")
     if not m.any():
         return np.zeros((m.shape[1], m.shape[0]))
-    return np.linalg.pinv(m, rcond=tol_scale * max(m.shape))
+    return np.linalg.pinv(m, rcond=PINV_TOL_SCALE * max(m.shape))
 
 
 def vec(m) -> np.ndarray:

@@ -423,6 +423,20 @@ def test_export_embeds_manifest_and_comments(capsys, tmp_path):
     assert parsed["c"][:2] == [1.0, -1.0]
 
 
+def test_export_comments_do_not_carry_between_calls(capsys, tmp_path):
+    # main reuses one parser; each call must see only its own --comment values
+    path = build_instance(capsys, tmp_path, n=3, r=2, rstar=1)
+    for name, comment in (("a.dat-s", "first"), ("b.dat-s", "second")):
+        rc, _, _ = run(
+            capsys, "export", "--instance", str(path), "--which", "ub",
+            "--out", str(tmp_path / name), "--comment", comment,
+        )
+        assert rc == 0
+    for name, comment in (("a.dat-s", "first"), ("b.dat-s", "second")):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert [ln for ln in lines if ln.startswith("*")][1:] == [f"* {comment}"]
+
+
 def test_export_reruns_byte_identical(capsys, tmp_path):
     path = build_instance(capsys, tmp_path, n=4, r=2, rstar=1)
     out_path = tmp_path / "cert.dat-s"

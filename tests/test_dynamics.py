@@ -243,13 +243,6 @@ def test_rank_limited_trials_stay_pinned():
         assert rec.dist_to_spur <= cfg.radius + 1e-12
 
 
-def test_report_identical_across_thread_counts():
-    cfg = small_config(trials=30, max_iters=400)
-    base = dynamics.run_trials(cfg, threads=1).to_csv()
-    for threads in (2, 4, 7):
-        assert dynamics.run_trials(cfg, threads=threads).to_csv() == base
-
-
 @pytest.mark.parametrize(
     "overrides,message",
     [
