@@ -50,6 +50,7 @@ from .matkernel import (
     unvec,
     vec,
 )
+from .objective import symmetric_basis
 
 __all__ = [
     "CertificateSDP",
@@ -486,9 +487,7 @@ def _slack_blocks(cert: CertificateSDP) -> list:
     i, j = np.triu_indices(n)
     elem = np.arange(i.size)
     c = np.where(i == j, 1.0, 1.0 / math.sqrt(2.0))
-    vecs = np.zeros((i.size, n * n))
-    vecs[elem, i + n * j] = c
-    vecs[elem, j + n * i] = c
+    vecs = symmetric_basis(n).reshape(i.size, n * n)
     t3 = np.repeat(elem, r)
     offsets = np.tile(n * np.arange(r), i.size)
     return [

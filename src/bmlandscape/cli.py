@@ -39,6 +39,10 @@ from . import (
 __all__ = ["main"]
 
 
+# relative tolerance of verify's check of the record's kappa against L/mu
+KAPPA_RTOL = 1e-9
+
+
 class InputError(Exception):
     """A problem with user-supplied files or flag values (exit code 2)."""
 
@@ -73,11 +77,11 @@ def _load_instance(path: str) -> counterexample.CounterexampleInstance:
         obj = serialize.load_json(path)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return counterexample.CounterexampleInstance.from_obj(obj)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -129,11 +133,13 @@ def _cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
     report = counterexample.verify_spurious(inst, grad_tol=args.tol, hess_tol=args.tol)
     gap_formula = counterexample.spurious_gap(inst.q)
+    mu, big = inst.objective.smoothness_bounds()
     checks = {
         "first_order": report.grad_norm <= args.tol,
         "second_order": report.hess_min_eig >= -args.tol,
         "gap_matches_formula": abs(report.gap - gap_formula) <= args.tol,
         "gap_exceeds_mu": report.gap > 1.0,
+        "kappa_matches_spectrum": abs(inst.kappa - big / mu) <= KAPPA_RTOL * big / mu,
     }
     passed = all(checks.values())
     record = {

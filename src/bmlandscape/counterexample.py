@@ -112,7 +112,8 @@ class CounterexampleInstance:
         rejected too: no spurious-point formula holds for it.  A record of a
         :func:`build` basis mode must claim exactly the construction's
         ``kappa = 1 + 2 sqrt(q)``; checking the claim against the spectrum
-        of the objective would take an eigensolver call at every load.
+        of the objective would take an eigensolver call at every load, so
+        the CLI's ``verify`` makes that check instead.
         """
         if not isinstance(obj, dict) or obj.get("kind") != "counterexample":
             raise ValueError("record is not a counterexample instance")

@@ -36,21 +36,20 @@ from .matkernel import as_factor, as_symmetric, jacobian_matrix, sym_eig
 __all__ = ["QuadraticObjective", "SecondOrderReport", "symmetric_basis"]
 
 
-def symmetric_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal basis of the symmetric n x n matrices.
+def symmetric_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the symmetric n x n matrices, stacked ``(s, n, n)``.
 
-    Ordered lexicographically over index pairs (i <= j): unit diagonal
-    matrices ``e_i e_i^T`` and off-diagonal ``(e_i e_j^T + e_j e_i^T)/sqrt(2)``.
+    ``s = n(n+1)/2``, ordered lexicographically over index pairs (i <= j):
+    unit diagonal matrices ``e_i e_i^T`` and off-diagonal
+    ``(e_i e_j^T + e_j e_i^T)/sqrt(2)``.  Flattened to ``(s, n^2)`` it is
+    the transpose of the basis ``Q`` of the symmetric subspace of vec space.
     """
-    basis = []
-    for i in range(n):
-        for j in range(i, n):
-            b = np.zeros((n, n))
-            if i == j:
-                b[i, i] = 1.0
-            else:
-                b[i, j] = b[j, i] = 1.0 / np.sqrt(2.0)
-            basis.append(b)
+    i, j = np.triu_indices(n)
+    t = np.arange(len(i))
+    value = np.where(i == j, 1.0, 1.0 / np.sqrt(2.0))
+    basis = np.zeros((len(i), n, n))
+    basis[t, i, j] = value
+    basis[t, j, i] = value
     return basis
 
 
@@ -169,7 +168,7 @@ class QuadraticObjective:
     def smoothness_bounds(self) -> tuple[float, float]:
         """Extreme curvatures (mu, L) of phi over symmetric matrices."""
         if self._bounds is None:
-            basis = np.reshape(symmetric_basis(self.n), (-1, self.n * self.n))
+            basis = symmetric_basis(self.n).reshape(-1, self.n * self.n)
             w, _ = sym_eig(basis @ self.gram_symmetric @ basis.T)
             mu, big = float(w[-1]), float(w[0])
             if mu <= 1e-12:
@@ -290,7 +289,8 @@ class QuadraticObjective:
             "n": self.n,
             "r_star": self.r_star,
             "Z": serialize.matrix_to_lists(self.ground_truth),
-            "measurements": [serialize.matrix_to_lists(a) for a in self.measurements],
+            # one conversion: the stack was checked finite at construction
+            "measurements": self.measurements.tolist(),
         }
 
     @classmethod

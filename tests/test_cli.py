@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from bmlandscape import __version__, certificates
+from bmlandscape import __version__, certificates, counterexample
 from bmlandscape.cli import main
 
 
@@ -126,6 +132,24 @@ def test_verify_fails_on_tampered_instance(capsys, tmp_path):
     report = json.loads(out_path.read_text())
     assert report["passed"] is False
     assert report["checks"]["first_order"] is False
+
+
+def test_verify_checks_kappa_against_the_spectrum(capsys, tmp_path):
+    path = build_instance(capsys, tmp_path)
+    rc, out, _ = run(capsys, "verify", "--instance", str(path))
+    assert rc == 0
+    assert json.loads(out)["checks"]["kappa_matches_spectrum"] is True
+    # a rescaled measurement moves L/mu; the record still claims 1 + 2 sqrt(q)
+    record = json.loads(path.read_text())
+    record["objective"]["measurements"][0] = [
+        [2.0 * v for v in row] for row in record["objective"]["measurements"][0]
+    ]
+    path.write_text(json.dumps(record))
+    rc, out, _ = run(capsys, "verify", "--instance", str(path))
+    assert rc == 1
+    report = json.loads(out)
+    assert report["checks"]["kappa_matches_spectrum"] is False
+    assert report["passed"] is False
 
 
 def test_verify_missing_file(capsys, tmp_path):
@@ -448,3 +472,158 @@ def test_export_reruns_byte_identical(capsys, tmp_path):
         capsys, "export", "--instance", str(path), "--which", "lb", "--out", str(out_path)
     )[0] == 0
     assert out_path.read_bytes() == first
+
+
+# -- malformed input never ends in a traceback --------------------------------
+
+# Letters that spell no number, not even "inf" or "nan".
+WORD = st.text(alphabet="abxyz", min_size=1, max_size=4)
+# JSON values that no field of an instance record accepts.
+JUNK = st.recursive(
+    st.one_of(st.none(), WORD, st.sampled_from([math.inf, -math.inf, math.nan])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(WORD, inner, max_size=2)
+    ),
+    max_leaves=6,
+)
+# Every field the loader reads except basis_mode, which takes any value,
+# then one entry of each matrix.
+RECORD_FIELDS = (
+    ("kind",), ("n",), ("r",), ("r_star",), ("q",), ("kappa",), ("seed",),
+    ("basis",), ("x_spur",), ("z",), ("objective",), ("objective", "n"),
+    ("objective", "r_star"), ("objective", "Z"), ("objective", "measurements"),
+)
+MATRIX_ENTRIES = (
+    ("basis", 1, 1), ("x_spur", 0, 0), ("z", 2, 0), ("objective", "Z", 0, 0),
+    ("objective", "measurements", 0, 1, 1),
+)
+GOOD_RECORD = counterexample.build(3, 2, 1).to_obj()
+
+
+@st.composite
+def malformed_records(draw):
+    """JSON text of a built record with one field or entry broken."""
+    record = copy.deepcopy(GOOD_RECORD)
+    path = draw(st.sampled_from(RECORD_FIELDS + MATRIX_ENTRIES))
+    owner = record
+    for key in path[:-1]:
+        owner = owner[key]
+    if path in RECORD_FIELDS and draw(st.booleans()):
+        del owner[path[-1]]
+    else:
+        owner[path[-1]] = draw(JUNK)
+    return json.dumps(record)
+
+
+# None stands for a file that does not exist.
+MALFORMED_FILES = st.one_of(
+    malformed_records(),
+    st.binary(max_size=40),
+    st.text(max_size=40),
+    st.sampled_from([None, "", '{"kind": "counterexample"}']),
+)
+
+# Malformed flags; {good} names a built (3, 2, 1) record, {dir} a scratch
+# directory.  Trials that got past validation would stop after 5 steps.
+TRIALS = ["trials", "--instance", "{good}", "--search-rank", "2", "--trials", "2", "--max-iters", "5"]
+MALFORMED_FLAGS = [
+    ["build", "--n", "3", "--r", "2", "--rstar", "1", "--basis", "spiral"],
+    ["build", "--n", "3", "--r", "2", "--rstar", "1", "--basis", "random", "--seed", "-1"],
+    ["verify", "--instance", "{good}", "--tol", "x"],
+    ["bounds", "--instance", "{good}", "--alpha", "0.5", "--beta", "0.3"],
+    ["bounds", "--alpha", "0.5"],
+    ["bounds", "--alpha", "0.5", "--beta", "0.3", "--r", "2"],
+    ["bounds", "--alpha", "1.5", "--beta", "0.3"],
+    ["bounds", "--alpha", "0", "--beta", "0.3"],
+    ["bounds", "--alpha", "0.5", "--beta", "-1"],
+    ["bounds", "--alpha", "0.5", "--beta", "0.3", "--r", "1", "--rstar", "2"],
+    TRIALS + ["--search-rank", "1"],
+    TRIALS + ["--trials", "0"],
+    TRIALS + ["--lr", "0"],
+    TRIALS + ["--lr", "inf"],
+    TRIALS + ["--momentum", "1"],
+    TRIALS + ["--radius", "-0.1"],
+    TRIALS + ["--max-iters", "-1"],
+    TRIALS + ["--seed", "-1"],
+    TRIALS + ["--success-tol", "0.5"],
+    TRIALS + ["--stuck-tol", "nan"],
+    TRIALS + ["--threads", "0"],
+    ["ey", "--s", "1,2", "--d", "1"],
+    ["ey", "--s", "3,2", "--d", "2,1"],
+    ["ey", "--s", "3,2", "--d", "1,2,3"],
+    ["ey", "--s", "3,-2", "--d", "1"],
+    ["ey", "--s", "3,2", "--d", "nan"],
+    ["ey", "--s", ",", "--d", "1"],
+    ["ey", "--s", "9,8,7,6,5,4,3,2", "--d", "1", "--brute-force"],
+    ["export", "--instance", "{good}", "--which", "mid", "--out", "{dir}/cert.dat-s"],
+    ["export", "--instance", "{good}", "--which", "ub", "--out", "{dir}/none/cert.dat-s"],
+    [], ["solve"], ["verify"], ["build", "--n", "3"],
+]
+
+
+@st.composite
+def malformed_flags(draw):
+    """A malformed argv for one of the subcommands."""
+    kind = draw(st.sampled_from(["listed", "ranks", "word"]))
+    if kind == "listed":
+        return draw(st.sampled_from(MALFORMED_FLAGS))
+    if kind == "ranks":
+        rank = st.integers(-2, 6)
+        n, r, rs = draw(
+            st.tuples(rank, rank, rank).filter(lambda t: not 1 <= t[2] <= t[1] < t[0])
+        )
+        return ["build", "--n", str(n), "--r", str(r), "--rstar", str(rs)]
+    # a word where a number belongs
+    argv = list(draw(st.sampled_from([
+        ["build", "--n", "3", "--r", "2", "--rstar", "1", "--seed", None],
+        ["build", "--n", None, "--r", "2", "--rstar", "1"],
+        ["bounds", "--alpha", None, "--beta", "0.3"],
+        TRIALS + ["--lr", None],
+        ["ey", "--s", None, "--d", "1"],
+    ])))
+    argv[argv.index(None)] = draw(WORD)
+    return argv
+
+
+def _run_malformed(argv, text=None):
+    """Run the CLI on *argv*, where {bad} names a file of *text*; check it
+    exits 2 with an error line, no traceback, and no output."""
+    with tempfile.TemporaryDirectory() as work:
+        good, bad = os.path.join(work, "good.json"), os.path.join(work, "bad.json")
+        with open(good, "w", encoding="utf-8") as fh:
+            json.dump(GOOD_RECORD, fh)
+        if text is not None:
+            with open(bad, "wb") as fh:
+                fh.write(text if isinstance(text, bytes) else text.encode("utf-8"))
+        argv = [a.replace("{good}", good).replace("{bad}", bad).replace("{dir}", work) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+        wrote = os.path.exists(os.path.join(work, "cert.dat-s"))
+    assert rc == 2, (argv, err.getvalue())
+    assert "error:" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert out.getvalue() == "" and not wrote
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(SUBCOMMANDS), text=MALFORMED_FILES)
+@example(command="verify", text=json.dumps(dict(GOOD_RECORD, seed=math.inf)))
+@example(command="export", text="[" * 100_000)
+def test_malformed_instance_file_exits_2(command, text):
+    argv = {
+        "verify": ["verify"],
+        "bounds": ["bounds"],
+        "trials": TRIALS[:1] + TRIALS[3:],
+        "export": ["export", "--which", "ub", "--out", "{dir}/cert.dat-s"],
+    }[command]
+    _run_malformed(argv + ["--instance", "{bad}"], text)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(malformed_flags())
+def test_malformed_flags_exit_2(argv):
+    _run_malformed(argv)

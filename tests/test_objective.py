@@ -49,6 +49,20 @@ def test_symmetric_basis_orthonormal_and_complete(n):
             assert abs(np.vdot(bi, bj) - want) <= 1e-15
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_symmetric_basis_matches_the_loop_construction(n):
+    # reference: one matrix per index pair, built element by element
+    reference = []
+    for i in range(n):
+        for j in range(i, n):
+            b = np.zeros((n, n))
+            b[i, j] = b[j, i] = 1.0 if i == j else 1.0 / np.sqrt(2.0)
+            reference.append(b)
+    basis = symmetric_basis(n)
+    assert basis.shape == (n * (n + 1) // 2, n, n)
+    assert np.array_equal(basis, np.stack(reference))
+
+
 def test_symmetric_basis_expands_any_symmetric_matrix():
     rng = np.random.default_rng(SEED)
     s = rng.standard_normal((4, 4))

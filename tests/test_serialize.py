@@ -1,8 +1,11 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as npst
 
 from bmlandscape import serialize
 
@@ -91,3 +94,100 @@ def test_matrix_from_lists_rejects_ragged_and_nonfinite():
         serialize.matrix_from_lists([[1.0, 2.0], [3.0]])
     with pytest.raises(ValueError):
         serialize.matrix_from_lists([[1.0, float("nan")]])
+
+
+# -- rows of plain floats take one format operation, same bytes ----------------
+
+LARGEST = 1.7976931348623157e308
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, LARGEST, -LARGEST, math.inf, -math.inf]
+)
+FLOATS = st.one_of(st.floats(allow_nan=False), EDGE_FLOATS)
+SCALARS = st.one_of(
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+)
+ROWS = st.one_of(
+    st.lists(FLOATS, max_size=12),  # all Python floats: the one-operation path
+    st.lists(SCALARS, max_size=6),  # mixed: the per-element path
+    st.lists(st.sampled_from([LARGEST, 1e308, -1e308]), min_size=2, max_size=5),
+)
+NESTED = st.recursive(ROWS, lambda inner: st.lists(inner, min_size=1, max_size=3), max_leaves=8)
+ARRAYS = npst.arrays(
+    np.float64,
+    npst.array_shapes(min_dims=2, max_dims=3, max_side=4),
+    elements=FLOATS,
+)
+
+
+def _reference_scalar(v):
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    x = float(v)
+    if math.isnan(x):
+        raise ValueError("cannot serialize NaN")
+    return "null" if math.isinf(x) else "%.16e" % x
+
+
+def _reference(obj, level=0):
+    """dumps' layout with every number formatted on its own."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if not isinstance(obj, list):
+        return _reference_scalar(obj)
+    if not obj:
+        return "[]"
+    if all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj):
+        return "[" + ", ".join(_reference_scalar(v) for v in obj) + "]"
+    pad = "  " * (level + 1)
+    body = ",\n".join(pad + _reference(v, level + 1) for v in obj)
+    return "[\n" + body + "\n" + "  " * level + "]"
+
+
+def _assert_round_trip(sent, back):
+    if isinstance(sent, np.ndarray):
+        sent = sent.tolist()
+    if isinstance(sent, list):
+        assert isinstance(back, list) and len(back) == len(sent)
+        for a, b in zip(sent, back):
+            _assert_round_trip(a, b)
+    elif isinstance(sent, (bool, np.bool_)):
+        assert back is bool(sent)
+    elif isinstance(sent, (int, np.integer)):
+        assert type(back) is int and back == int(sent)
+    elif math.isinf(sent):
+        assert back is None
+    else:
+        assert type(back) is float
+        assert struct.pack("<d", back) == struct.pack("<d", float(sent))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(NESTED, ARRAYS))
+def test_dumps_matches_per_element_rule_and_round_trips(obj):
+    text = serialize.dumps(obj)
+    assert text == _reference(obj) + "\n"
+    _assert_round_trip(obj, json.loads(text))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(NESTED, st.data())
+def test_dumps_rejects_nan_anywhere(obj, data):
+    # walk down to a random row and put NaN at a random place in it
+    row = obj
+    while row and isinstance(row[0], list):
+        row = row[data.draw(st.integers(0, len(row) - 1))]
+    nan = data.draw(st.sampled_from([math.nan, np.float64(math.nan)]))
+    row.insert(data.draw(st.integers(0, len(row))), nan)
+    with pytest.raises(ValueError, match="NaN"):
+        serialize.dumps(obj)
+
+
+def test_dumps_rejects_nan_in_arrays():
+    with pytest.raises(ValueError, match="NaN"):
+        serialize.dumps({"m": np.array([[1.0, 2.0], [math.inf, math.nan]])})
