@@ -127,8 +127,10 @@ def kappa_lb_closed_form(ab: AlphaBeta) -> BoundEvaluation:
     when ``beta >= alpha/(1 + s)``, else ``(1 - alpha*beta)/((alpha - beta)*beta)``.
     A degenerate pair (``Z_perp = 0``) certifies nothing finite and yields an
     infinite sentinel; near-degenerate pairs flow through the same formulas
-    to a finite but enormous bound.
+    to a finite but enormous bound.  A non-finite ``beta`` is rejected.
     """
+    if not math.isfinite(ab.beta):
+        raise ValueError(f"beta must be finite, got {ab.beta}")
     if ab.degenerate:
         return BoundEvaluation(
             ab=ab, kappa_lb=math.inf, branch="first", t_opt=0.0, gamma_value=1.0

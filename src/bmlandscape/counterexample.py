@@ -113,10 +113,16 @@ class CounterexampleInstance:
         :func:`build` basis mode must claim exactly the construction's
         ``kappa = 1 + 2 sqrt(q)``; checking the claim against the spectrum
         of the objective would take an eigensolver call at every load, so
-        the CLI's ``verify`` makes that check instead.
+        the CLI's ``verify`` makes that check instead.  ``seed`` must be a
+        JSON integer and ``kappa`` a JSON number; neither is coerced.
         """
         if not isinstance(obj, dict) or obj.get("kind") != "counterexample":
             raise ValueError("record is not a counterexample instance")
+        seed, kappa = obj["seed"], obj["kappa"]
+        if type(seed) is not int:
+            raise ValueError(f"record field seed={seed!r} is not an integer")
+        if type(kappa) not in (int, float):
+            raise ValueError(f"record field kappa={kappa!r} is not a number")
         factors = {}
         for name in ("x_spur", "z"):
             f = serialize.matrix_from_lists(obj[name])
@@ -126,9 +132,9 @@ class CounterexampleInstance:
                 raise ValueError(f"Gram matrix {name} {name}^T overflows float64")
             factors[name] = f
         inst = cls(
-            kappa=float(obj["kappa"]),
+            kappa=float(kappa),
             basis_mode=str(obj["basis_mode"]),
-            seed=int(obj["seed"]),
+            seed=seed,
             basis=serialize.matrix_from_lists(obj["basis"]),
             x_spur=factors["x_spur"],
             objective=QuadraticObjective.from_obj(obj["objective"]),

@@ -13,9 +13,7 @@ Reports are bitwise reproducible for a fixed master seed:
 
 * each trial owns a private PCG64 stream derived from
   ``SeedSequence(master_seed, spawn_key=(trial,))``;
-* all trials run in one batch on one thread; a trial leaves the active set
-  as soon as it reaches the success tolerance (or diverges), and only the
-  active trials are stepped;
+* all trials run in one batch on one thread;
 * the hot loop evaluates f and its gradient only through the objective's
   batched kernels (``residuals``, ``apply_gram``, ``values``, ``grads`` in
   :mod:`bmlandscape.objective`), carrying ``S = grad phi(X X^T)`` from one
@@ -23,7 +21,13 @@ Reports are bitwise reproducible for a fixed master seed:
   same BLAS call per trial, never a flat product over the batch, so each
   trial's arithmetic is exactly that of a solo run whatever else shares its
   batch, and a trial's f and gradient equal the objective's single-factor
-  ``f_eval`` and ``f_grad`` (the batch-of-one case) bit for bit.
+  ``f_eval`` and ``f_grad`` (the batch-of-one case) bit for bit;
+* the active trials are stepped ``WINDOW`` steps at a time and tested once
+  per window; a trial that reached the success tolerance (or diverged) at
+  some step of the window leaves the active set with its state and
+  iteration count from that step.  Because of the per-trial kernels the
+  steps it took after that point touched no other trial's bits, so the
+  report equals that of testing after every step.
 
 The bits depend on the BLAS library, as any matmul's do: the same numpy
 and BLAS build gives the same report.
@@ -170,10 +174,27 @@ def nesterov_step(obj, x, v, lr, mom):
     return _step(x, v, g, lr, mom)
 
 
-def _step(x, v, g, lr, mom):
-    """The update shared by ``nesterov_step`` and the trial engine."""
-    v_next = mom * v - lr * g
-    return x + mom * v_next - lr * g, v_next
+def _step(x, v, g, lr, mom, out=None):
+    """The update shared by ``nesterov_step`` and the trial engine.
+
+    ``out`` is an optional pair ``(x_next, v_next)`` of arrays that receive
+    the result, in which case ``g`` is overwritten by ``lr * g``; ``v_next``
+    may be ``v`` itself, ``x_next`` must not share memory with ``x``.
+    Either way the bits are those of ``x + mom * (mom * v - lr * g) - lr *
+    g``, so a trial stepped in place matches ``nesterov_step``.
+    """
+    if out is None:
+        x_next, v_next = np.empty_like(x), np.empty_like(v)
+        lr_g = np.multiply(lr, g)
+    else:
+        x_next, v_next = out
+        lr_g = np.multiply(lr, g, out=g)
+    np.multiply(mom, v, out=v_next)
+    np.subtract(v_next, lr_g, out=v_next)
+    np.multiply(mom, v_next, out=x_next)
+    np.add(x, x_next, out=x_next)
+    np.subtract(x_next, lr_g, out=x_next)
+    return x_next, v_next
 
 
 def sample_near(x_center, radius, seed):
@@ -204,6 +225,13 @@ def sample_near(x_center, radius, seed):
 
 # -- batched trial engine ---------------------------------------------------
 
+# Steps per window of the trial engine.  The exit test runs once per window
+# on the window's history of X, E and S, which holds WINDOW iterates of each
+# active trial (448 kB at 100 trials, n = 5, r = 4); longer windows save
+# little more Python overhead and cost memory.  At least 2, so that a
+# window's first step never overwrites the iterate it starts from.
+WINDOW = 8
+
 
 def _run_batch(obj, x0, cfg):
     """Drive a batch of trials until each converges, diverges or runs out.
@@ -211,39 +239,69 @@ def _run_batch(obj, x0, cfg):
     Every f and gradient comes from the batched kernels of ``obj``, the
     instance's :class:`QuadraticObjective`; each trial carries its
     ``S = grad phi(X X^T)`` from one evaluation to the next step.  Only the
-    active trials' rows are stepped.  A trial leaves the active set once its
-    objective reaches ``success_tol`` or stops being finite, and its state
-    is written back then; trials still active at ``max_iters`` are written
-    back at the end.
+    active trials' rows are stepped, ``WINDOW`` steps at a time: each step
+    writes its X, E and S into the window's history buffers, then one
+    ``values`` call gives f at every step of the window and the exit test
+    runs once.  A trial leaves the active set at the first step whose
+    objective reached ``success_tol`` or stopped being finite; its X, S and
+    f are taken from that step of the history and its iteration count is
+    that step's.  The steps it took after that point within the window are
+    discarded, and they touched no other trial's numbers, since every
+    kernel works on each trial's own matrices.  Trials still active at
+    ``max_iters`` are written back at the end.
     Returns the final iterates and per-trial (f, grad norm, iterations)
     arrays; a diverged trial keeps its non-finite f and the iteration at
     which it appeared.
     """
     x_out = np.array(x0, dtype=float)
+    _, n, r = x_out.shape
     iters = np.zeros(len(x_out), dtype=np.int64)
+    # 0-d arrays cost less per ufunc call than Python floats, same bits
+    lr, mom = np.array(cfg.learning_rate), np.array(cfg.momentum)
+    tol = cfg.success_tol
     # overflow in a diverging trial (or at a far initial point) is expected;
     # it is caught by the finiteness test and reported by run_trials
     with np.errstate(over="ignore", invalid="ignore"):
         e = obj.residuals(x_out)
         s_out = obj.apply_gram(e)
         f_out = obj.values(e, s_out)
-        idx = np.flatnonzero(np.isfinite(f_out) & (f_out > cfg.success_tol))
+        idx = np.flatnonzero(np.isfinite(f_out) & (f_out > tol))
         x, s, f = x_out[idx], s_out[idx], f_out[idx]
         v = np.zeros_like(x)
+        g = np.empty_like(x)
+        # sized for the first window and viewed C-contiguous at the current
+        # batch size, so each step's slice is a contiguous batch
+        x_buf = np.empty(WINDOW * x.size)
+        e_buf = np.empty(WINDOW * s.size)
+        s_buf = np.empty(WINDOW * s.size)
         k = 0
         while idx.size and k < cfg.max_iters:
-            k += 1
-            x, v = _step(x, v, obj.grads(x, s), cfg.learning_rate, cfg.momentum)
-            e = obj.residuals(x)
-            s = obj.apply_gram(e)
-            f = obj.values(e, s)
-            keep = np.isfinite(f) & (f > cfg.success_tol)
-            if not keep.all():
-                left = ~keep
-                done = idx[left]
-                x_out[done], s_out[done], f_out[done] = x[left], s[left], f[left]
-                iters[done] = k
+            b = idx.size
+            w = min(WINDOW, cfg.max_iters - k)
+            xh = x_buf[: w * b * n * r].reshape(w, b, n, r)
+            eh = e_buf[: w * b * n * n].reshape(w, b, n, n)
+            sh = s_buf[: w * b * n * n].reshape(w, b, n, n)
+            for j in range(w):
+                _step(x, v, obj.grads(x, s, out=g), lr, mom, out=(xh[j], v))
+                x, s = xh[j], obj.apply_gram(obj.residuals(xh[j], out=eh[j]), out=sh[j])
+            fh = obj.values(eh.reshape(w * b, n, n), sh.reshape(w * b, n, n))
+            fh = fh.reshape(w, b)
+            stop = ~(np.isfinite(fh) & (fh > tol))
+            left = stop.any(axis=0)
+            f = fh[-1]
+            if left.any():
+                cols = np.flatnonzero(left)
+                at = stop[:, cols].argmax(axis=0)
+                done = idx[cols]
+                x_out[done], s_out[done], f_out[done] = (
+                    xh[at, cols], sh[at, cols], fh[at, cols]
+                )
+                iters[done] = k + at + 1
+                keep = ~left
+                # copies: the next window's views overlap these rows
                 idx, x, v, s, f = idx[keep], x[keep], v[keep], s[keep], f[keep]
+                g = g[: idx.size]
+            k += w
         x_out[idx], s_out[idx], f_out[idx] = x, s, f
         iters[idx] = cfg.max_iters
         g_fin = obj.grads(x_out, s_out)

@@ -122,19 +122,27 @@ class QuadraticObjective:
     # (a one-row product differed from the same row of a 100-row one in
     # nearly every row tried).  matmul warns on overflow where einsum did
     # not; callers that expect overflow silence it themselves, outside any
-    # hot loop.
+    # hot loop.  ``out``, where a kernel takes it, is a C-contiguous array
+    # of the result's shape that receives the result; writing there gives
+    # the same bits as a fresh result.
 
-    def residuals(self, x) -> np.ndarray:
+    def residuals(self, x, out=None) -> np.ndarray:
         """Residuals E_b = X_b X_b^T - M* of a batch of factors."""
         # a contiguous transpose is faster for the stacked gemm than a view
-        e = x @ np.ascontiguousarray(x.transpose(0, 2, 1))
+        e = np.matmul(x, np.ascontiguousarray(x.transpose(0, 2, 1)), out=out)
         e -= self.m_star
         return e
 
-    def apply_gram(self, e) -> np.ndarray:
+    def apply_gram(self, e, out=None) -> np.ndarray:
         """Matrices mat(G vec(E_b)) = sum_k <A_k, E_b> A_k of a batch."""
         b, n = len(e), self.n
-        return (e.reshape(b, 1, n * n) @ self.gram_symmetric).reshape(b, n, n)
+        if out is None:
+            out = np.empty((b, n, n))
+        elif not out.flags.c_contiguous:
+            raise ValueError("apply_gram needs a C-contiguous out array")
+        flat = (b, 1, n * n)
+        np.matmul(e.reshape(flat), self.gram_symmetric, out=out.reshape(flat))
+        return out
 
     @staticmethod
     def values(e, s) -> np.ndarray:
@@ -142,9 +150,11 @@ class QuadraticObjective:
         return 0.5 * np.einsum("bij,bij->b", e, s, optimize=False)
 
     @staticmethod
-    def grads(x, s) -> np.ndarray:
+    def grads(x, s, out=None) -> np.ndarray:
         """Gradients 2 S_b X_b of f, given S_b = mat(G vec(E_b))."""
-        return 2.0 * (s @ x)
+        g = np.matmul(s, x, out=out)
+        g *= 2.0
+        return g
 
     # -- curvature -----------------------------------------------------
 

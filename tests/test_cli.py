@@ -243,6 +243,29 @@ def test_record_field_disagreeing_with_matrices_is_input_error(
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("seed", 1.5), ("seed", 0.0), ("seed", True), ("seed", "5"), ("seed", None),
+        ("kappa", "3.8284271247461903"), ("kappa", True), ("kappa", None),
+    ],
+)
+def test_seed_and_kappa_of_wrong_json_type_are_input_errors(
+    capsys, tmp_path, command, field, value
+):
+    # no coercion: int(1.5), int(True), float("3.8...") would all load
+    path = build_instance(capsys, tmp_path)
+    record = json.loads(path.read_text())
+    record[field] = value
+    path.write_text(json.dumps(record))
+    rc, out, err = run(capsys, *instance_subcommand(command, path, tmp_path))
+    assert rc == 2
+    assert err.startswith("error:") and f"record field {field}=" in err
+    assert out == ""
+    assert not (tmp_path / "cert.dat-s").exists()
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_rank_below_target_rank_is_input_error(capsys, tmp_path, command):
     # build(6,3,3) cut to one column of x_spur: the stored r=1 and q=-1 agree
     # with the matrices, but no instance has r < r_star
@@ -323,6 +346,13 @@ def test_bounds_scalar_zero_alpha_is_input_error(capsys):
     rc, _, err = run(capsys, "bounds", "--alpha", "0", "--beta", "0.5")
     assert rc == 2
     assert "alpha must be positive" in err
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+def test_bounds_rejects_non_finite_beta(capsys, beta):
+    rc, out, err = run(capsys, "bounds", "--alpha", "0.5", f"--beta={beta}")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: beta must be finite")
 
 
 def test_bounds_flag_conflicts(capsys, tmp_path):

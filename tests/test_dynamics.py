@@ -189,6 +189,109 @@ def test_batch_step_equals_single_factor_api():
         assert np.array_equal(f_out[t], obj.f_eval(x_out[t]))
 
 
+# -- windowed engine against a step-by-step oracle ---------------------------------
+
+
+def _reference_batch(obj, x0, cfg):
+    """The engine's algorithm one step at a time, on the public kernels.
+
+    The exit test runs after every step and a leaving trial's state is
+    written back at once, so no rollback is involved.
+    """
+    lr, mom, tol = cfg.learning_rate, cfg.momentum, cfg.success_tol
+    x_out = np.array(x0, dtype=float)
+    iters = np.zeros(len(x_out), dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = obj.residuals(x_out)
+        s_out = obj.apply_gram(e)
+        f_out = obj.values(e, s_out)
+        idx = np.flatnonzero(np.isfinite(f_out) & (f_out > tol))
+        x, s, f = x_out[idx], s_out[idx], f_out[idx]
+        v = np.zeros_like(x)
+        k = 0
+        while idx.size and k < cfg.max_iters:
+            k += 1
+            g = obj.grads(x, s)
+            v = mom * v - lr * g
+            x = x + mom * v - lr * g
+            e = obj.residuals(x)
+            s = obj.apply_gram(e)
+            f = obj.values(e, s)
+            keep = np.isfinite(f) & (f > tol)
+            done = idx[~keep]
+            x_out[done], s_out[done], f_out[done] = x[~keep], s[~keep], f[~keep]
+            iters[done] = k
+            idx, x, v, s, f = idx[keep], x[keep], v[keep], s[keep], f[keep]
+        x_out[idx], s_out[idx], f_out[idx] = x, s, f
+        iters[idx] = cfg.max_iters
+        g = obj.grads(x_out, s_out)
+        gnorm = np.sqrt(np.einsum("bij,bij->b", g, g, optimize=False))
+    return x_out, f_out, gnorm, iters
+
+
+def _assert_same_records(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def _mixed_starts(inst, rank):
+    # starts near the global minimum leave after 0, 0, 3, 6, 20 and 33 steps
+    # at rank 4; starts near the spurious point stay for thousands
+    z = np.hstack([inst.z, np.zeros((inst.n, rank - inst.r_star))])
+    spur = np.hstack([inst.x_spur, np.zeros((inst.n, rank - inst.r))])
+    near_z = [dynamics.sample_near(z, rad, t) for t, rad in enumerate(
+        [1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2])]
+    near_spur = [dynamics.sample_near(spur, 0.05, SEED + t) for t in range(3)]
+    return np.stack(near_spur[:2] + near_z + near_spur[2:])
+
+
+K = dynamics.WINDOW
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, K - 1, K, K + 1, 3 * K + 3, 40])
+def test_windowed_engine_matches_stepwise_oracle(max_iters):
+    cfg = small_config(max_iters=max_iters)
+    x0 = _mixed_starts(cfg.instance, cfg.search_rank)
+    want = _reference_batch(cfg.instance.objective, x0, cfg)
+    _assert_same_records(dynamics._run_batch(cfg.instance.objective, x0, cfg), want)
+
+
+def test_windowed_engine_exits_on_first_and_last_window_step():
+    # rank-4 trials at seed 42 leave after 3812..3851 steps: some on the
+    # first step of a window, some on its last
+    cfg = small_config(trials=10)
+    obj = cfg.instance.objective
+    spur = np.hstack([cfg.instance.x_spur, np.zeros((5, 1))])
+    seqs = [np.random.SeedSequence(SEED, spawn_key=(t,)) for t in range(10)]
+    x0 = np.stack([dynamics.sample_near(spur, cfg.radius, s) for s in seqs])
+    want = _reference_batch(obj, x0, cfg)
+    steps = want[3] % K
+    assert np.any(steps == 1) and np.any(steps == 0)
+    assert np.all(want[3] < cfg.max_iters)
+    _assert_same_records(dynamics._run_batch(obj, x0, cfg), want)
+
+
+def test_windowed_engine_rolls_back_a_trial_diverging_mid_window():
+    cfg = small_config(trials=3, max_iters=200, learning_rate=0.1)
+    obj = cfg.instance.objective
+    spur = np.hstack([cfg.instance.x_spur, np.zeros((5, 1))])
+    seqs = [np.random.SeedSequence(SEED, spawn_key=(t,)) for t in range(3)]
+    x0 = np.stack([dynamics.sample_near(spur, cfg.radius, s) for s in seqs])
+    want = _reference_batch(obj, x0, cfg)
+    bad = np.flatnonzero(~np.isfinite(want[1]))
+    t = int(bad[np.argmin(want[3][bad])])
+    assert want[3][t] % K not in (0, 1)
+    _assert_same_records(dynamics._run_batch(obj, x0, cfg), want)
+    message = (
+        f"trial {t} diverged (non-finite objective) at iteration {want[3][t]}; "
+        "lower the learning rate"
+    )
+    with pytest.raises(ValueError) as err:
+        dynamics.run_trials(cfg)
+    assert str(err.value) == message
+
+
 # -- full experiment ----------------------------------------------------------------
 
 
