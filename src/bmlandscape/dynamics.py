@@ -270,22 +270,27 @@ def _run_batch(obj, x0, cfg):
         v = np.zeros_like(x)
         g = np.empty_like(x)
         # sized for the first window and viewed C-contiguous at the current
-        # batch size, so each step's slice is a contiguous batch
+        # batch size, so each step's slice is a contiguous batch; the views
+        # are rebuilt only when the batch or the window length changes
         x_buf = np.empty(WINDOW * x.size)
         e_buf = np.empty(WINDOW * s.size)
         s_buf = np.empty(WINDOW * s.size)
-        k = 0
+        grads, residuals, apply_gram = obj.grads, obj.residuals, obj.apply_gram
+        k, shape = 0, None
         while idx.size and k < cfg.max_iters:
             b = idx.size
             w = min(WINDOW, cfg.max_iters - k)
-            xh = x_buf[: w * b * n * r].reshape(w, b, n, r)
-            eh = e_buf[: w * b * n * n].reshape(w, b, n, n)
-            sh = s_buf[: w * b * n * n].reshape(w, b, n, n)
-            for j in range(w):
-                _step(x, v, obj.grads(x, s, out=g), lr, mom, out=(xh[j], v))
-                x, s = xh[j], obj.apply_gram(obj.residuals(xh[j], out=eh[j]), out=sh[j])
-            fh = obj.values(eh.reshape(w * b, n, n), sh.reshape(w * b, n, n))
-            fh = fh.reshape(w, b)
+            if shape != (w, b):
+                shape = (w, b)
+                xh = x_buf[: w * b * n * r].reshape(w, b, n, r)
+                eh = e_buf[: w * b * n * n].reshape(w, b, n, n)
+                sh = s_buf[: w * b * n * n].reshape(w, b, n, n)
+                e_rows, s_rows = eh.reshape(w * b, n, n), sh.reshape(w * b, n, n)
+                steps = list(zip(xh, eh, sh))
+            for x_j, e_j, s_j in steps:
+                _step(x, v, grads(x, s, out=g), lr, mom, out=(x_j, v))
+                x, s = x_j, apply_gram(residuals(x_j, out=e_j), out=s_j)
+            fh = obj.values(e_rows, s_rows).reshape(w, b)
             stop = ~(np.isfinite(fh) & (fh > tol))
             left = stop.any(axis=0)
             f = fh[-1]
