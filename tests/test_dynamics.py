@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from bmlandscape import counterexample as ce, dynamics
+from bmlandscape import counterexample as ce, dynamics, serialize
 from bmlandscape.cli import main
 
 SEED = 42
@@ -313,6 +315,19 @@ def test_trial_zero_frozen_regression_row():
         "0,16138347438539916964,success,9.9968168650199258e-07,"
         "1.0033689913260094e-04,1.5814340247145278e+00,3816"
     )
+
+
+def test_default_rank_limited_census_bytes_pinned():
+    # the default rank-3 census (seed 0, 100 trials, 20,000 steps) is the one
+    # tier-1 run whose trapped trials reach the subnormal range (rows 0 and 4
+    # of x_spur decay below tiny after about 11,000 steps); its CSV and
+    # summary bytes must not move
+    cfg = dynamics.TrialConfig(instance=ce.build(5, 3, 2), search_rank=3)
+    report = dynamics.run_trials(cfg)
+    csv = hashlib.sha256(report.to_csv().encode()).hexdigest()
+    summary = hashlib.sha256(serialize.dumps(report.to_obj()).encode()).hexdigest()
+    assert csv == "f314bc5c76ccd73ec054c29641889de0dbd82245721d0209f04c162289e69a53"
+    assert summary == "bc38f4f45226f447bd48f8327e154526b78367bd4600e10bf51646763852b2de"
 
 
 # Per-trial (outcome, iters) of the two small censuses at seed 42.  A change
