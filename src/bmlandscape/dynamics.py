@@ -27,7 +27,15 @@ Reports are bitwise reproducible for a fixed master seed:
   some step of the window leaves the active set with its state and
   iteration count from that step.  Because of the per-trial kernels the
   steps it took after that point touched no other trial's bits, so the
-  report equals that of testing after every step.
+  report equals that of testing after every step;
+* after each window's exit test, every entry of the active trials' X and V
+  below ``np.finfo(float).tiny`` in magnitude (a subnormal or a signed
+  zero) is set to exact zero.  The flush is elementwise and the windows
+  start at the same steps for every trial, so it keeps batch independence.
+  It leaves the reported numbers (f, gradient norm, distance, iteration
+  count) bitwise equal to a plain step-by-step loop, and X equal to that
+  loop's wherever the loop's entry is at least ``tiny``; below ``tiny`` the
+  engine holds zeros where the loop holds subnormals.
 
 The bits depend on the BLAS library, as any matmul's do: the same numpy
 and BLAS build gives the same report.
@@ -162,7 +170,8 @@ def nesterov_step(obj, x, v, lr, mom):
 
     ``obj`` is anything exposing ``f_grad``; with ``grad f(X) = 0`` and
     ``V = 0`` the point is fixed, and with ``mom = 0`` this is plain
-    gradient descent.
+    gradient descent.  It does not flush subnormal entries; only the trial
+    engine does, once per window.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -247,7 +256,17 @@ def _run_batch(obj, x0, cfg):
     f are taken from that step of the history and its iteration count is
     that step's.  The steps it took after that point within the window are
     discarded, and they touched no other trial's numbers, since every
-    kernel works on each trial's own matrices.  Trials still active at
+    kernel works on each trial's own matrices.  Then every entry of the
+    active trials' X and V whose magnitude is below ``np.finfo(float).tiny``
+    is set to zero.  In a trial trapped at a spurious point with zero rows
+    (the rank-limited census on ``x_spur``), those rows decay geometrically
+    into the subnormal range and would stay there to ``max_iters``, and
+    subnormal operands make each kernel several times slower on CPUs without
+    flush-to-zero.  A trial that left keeps its state from its exit step,
+    unflushed.  Where a flushed entry meets normal terms in a later sum it
+    lies far below half an ulp of that sum and would be rounded away, so f,
+    the gradient norm and the iteration counts stay those of the unflushed
+    loop (the tests check this bitwise).  Trials still active at
     ``max_iters`` are written back at the end.
     Returns the final iterates and per-trial (f, grad norm, iterations)
     arrays; a diverged trial keeps its non-finite f and the iteration at
@@ -258,7 +277,7 @@ def _run_batch(obj, x0, cfg):
     iters = np.zeros(len(x_out), dtype=np.int64)
     # 0-d arrays cost less per ufunc call than Python floats, same bits
     lr, mom = np.array(cfg.learning_rate), np.array(cfg.momentum)
-    tol = cfg.success_tol
+    tol, tiny = cfg.success_tol, np.finfo(float).tiny
     # overflow in a diverging trial (or at a far initial point) is expected;
     # it is caught by the finiteness test and reported by run_trials
     with np.errstate(over="ignore", invalid="ignore"):
@@ -306,6 +325,9 @@ def _run_batch(obj, x0, cfg):
                 # copies: the next window's views overlap these rows
                 idx, x, v, s, f = idx[keep], x[keep], v[keep], s[keep], f[keep]
                 g = g[: idx.size]
+            # flush: entries below tiny become exact zeros (see the docstring)
+            for a in (x, v):
+                np.copyto(a, 0.0, where=np.abs(a) < tiny)
             k += w
         x_out[idx], s_out[idx], f_out[idx] = x, s, f
         iters[idx] = cfg.max_iters

@@ -294,6 +294,39 @@ def test_windowed_engine_rolls_back_a_trial_diverging_mid_window():
     assert str(err.value) == message
 
 
+def test_windowed_engine_flushes_subnormal_iterates():
+    # x_spur's zero rows, started at about 1e-300, reach the subnormal range
+    # within a few hundred steps; the engine sets such entries of X and V to
+    # zero once per window, which moves no reported number and no entry of X
+    # at least tiny in magnitude.  The last trial leaves mid-window.
+    tiny = np.finfo(float).tiny
+    cfg = small_config(search_rank=3, max_iters=40 * K + 3)
+    inst, obj = cfg.instance, cfg.instance.objective
+    zero = ~inst.x_spur.any(axis=1)
+    rng = np.random.default_rng(SEED)
+    starts = []
+    for _ in range(4):
+        x = inst.x_spur.copy()
+        x[zero] = rng.uniform(-2.0, 2.0, size=x[zero].shape) * 1e-300
+        starts.append(x)
+    z = np.hstack([inst.z, np.zeros((inst.n, 1))])
+    starts.append(dynamics.sample_near(z, 1e-2, SEED))
+    x0 = np.stack(starts)
+    want = _reference_batch(obj, x0, cfg)
+    subnormal = (want[0] != 0) & (np.abs(want[0]) < tiny)
+    assert subnormal.any() and np.all(want[3][:4] == cfg.max_iters)
+    assert 0 < want[3][4] < cfg.max_iters and want[3][4] % K
+    batch = dynamics._run_batch(obj, x0, cfg)
+    _assert_same_records(batch[1:], want[1:])
+    normal = np.abs(want[0]) >= tiny
+    assert np.array_equal(batch[0][normal], want[0][normal])
+    assert not np.any((batch[0] != 0) & (np.abs(batch[0]) < tiny))
+    for t in range(len(x0)):
+        solo = dynamics._run_batch(obj, x0[t : t + 1], cfg)
+        for whole, single in zip(batch, solo):
+            assert np.array_equal(whole[t : t + 1], single)
+
+
 # -- full experiment ----------------------------------------------------------------
 
 
