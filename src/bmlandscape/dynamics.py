@@ -29,8 +29,8 @@ Reports are bitwise reproducible for a fixed master seed:
   steps it took after that point touched no other trial's bits, so the
   report equals that of testing after every step;
 * after each window's exit test, every entry of the active trials' X and V
-  below ``np.finfo(float).tiny`` in magnitude (a subnormal or a signed
-  zero) is set to exact zero.  The flush is elementwise and the windows
+  below ``np.finfo(float).tiny`` in magnitude (a subnormal, or a zero of
+  either sign) is set to +0.0.  The flush is elementwise and the windows
   start at the same steps for every trial, so it keeps batch independence.
   It leaves the reported numbers (f, gradient norm, distance, iteration
   count) bitwise equal to a plain step-by-step loop, and X equal to that
@@ -258,16 +258,16 @@ def _run_batch(obj, x0, cfg):
     discarded, and they touched no other trial's numbers, since every
     kernel works on each trial's own matrices.  Then every entry of the
     active trials' X and V whose magnitude is below ``np.finfo(float).tiny``
-    is set to zero.  In a trial trapped at a spurious point with zero rows
-    (the rank-limited census on ``x_spur``), those rows decay geometrically
-    into the subnormal range and would stay there to ``max_iters``, and
-    subnormal operands make each kernel several times slower on CPUs without
-    flush-to-zero.  A trial that left keeps its state from its exit step,
-    unflushed.  Where a flushed entry meets normal terms in a later sum it
-    lies far below half an ulp of that sum and would be rounded away, so f,
-    the gradient norm and the iteration counts stay those of the unflushed
-    loop (the tests check this bitwise).  Trials still active at
-    ``max_iters`` are written back at the end.
+    is set to zero.  In a trial trapped at a spurious point, a zero row of
+    the point can decay geometrically into the subnormal range and stay
+    there to ``max_iters`` (row 4 of ``x_spur`` in the rank-limited census),
+    and subnormal operands make each kernel several times slower on CPUs
+    without flush-to-zero.  A trial that left keeps its state from its exit
+    step, unflushed.  Where a flushed entry meets normal terms in a later
+    sum it lies far below half an ulp of that sum and would be rounded
+    away, so f, the gradient norm and the iteration counts stay those of
+    the unflushed loop (the tests check this bitwise).  Trials still active
+    at ``max_iters`` are written back at the end.
     Returns the final iterates and per-trial (f, grad norm, iterations)
     arrays; a diverged trial keeps its non-finite f and the iteration at
     which it appeared.
@@ -325,7 +325,7 @@ def _run_batch(obj, x0, cfg):
                 # copies: the next window's views overlap these rows
                 idx, x, v, s, f = idx[keep], x[keep], v[keep], s[keep], f[keep]
                 g = g[: idx.size]
-            # flush: entries below tiny become exact zeros (see the docstring)
+            # subnormal operands slow every later kernel call (see the docstring)
             for a in (x, v):
                 np.copyto(a, 0.0, where=np.abs(a) < tiny)
             k += w

@@ -322,6 +322,7 @@ def test_windowed_engine_flushes_subnormal_iterates():
     assert np.array_equal(batch[0][normal], want[0][normal])
     assert not np.any((batch[0] != 0) & (np.abs(batch[0]) < tiny))
     for t in range(len(x0)):
+        assert np.array_equal(batch[1][t], obj.f_eval(batch[0][t]))
         solo = dynamics._run_batch(obj, x0[t : t + 1], cfg)
         for whole, single in zip(batch, solo):
             assert np.array_equal(whole[t : t + 1], single)
@@ -352,9 +353,9 @@ def test_trial_zero_frozen_regression_row():
 
 def test_default_rank_limited_census_bytes_pinned():
     # the default rank-3 census (seed 0, 100 trials, 20,000 steps) is the one
-    # tier-1 run whose trapped trials reach the subnormal range (rows 0 and 4
-    # of x_spur decay below tiny after about 11,000 steps); its CSV and
-    # summary bytes must not move
+    # tier-1 run whose trapped trials reach the subnormal range (row 4, a
+    # zero row of x_spur, decays below tiny after about 10,900 steps); its
+    # CSV and summary bytes must not move
     cfg = dynamics.TrialConfig(instance=ce.build(5, 3, 2), search_rank=3)
     report = dynamics.run_trials(cfg)
     csv = hashlib.sha256(report.to_csv().encode()).hexdigest()
