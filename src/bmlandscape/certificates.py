@@ -24,9 +24,10 @@ and a row of ``J_X`` at most ``2r``, so the block-3 matrix
 five entry columns ``(var, blk, i, j, value)`` in file order; the block-5
 products ``J_X^T vec(B e)`` of all elements, and the slack products of the
 lb system, are one stacked matmul each, bitwise equal to one product per
-element.  The columns are rendered by ``np.char.add`` over two small
-byte-string tables, the numbers ``0..max(m, w)`` and the texts of the
-distinct values, each distinct value formatted once per file.
+element.  ``export_sdpa`` writes the header and then the entry columns in
+byte slices, each rendered by ``np.char.add`` over two small byte-string
+tables, the numbers ``0..max(m, w)`` and the texts of the distinct values,
+each distinct value formatted once per file.
 """
 
 from __future__ import annotations
@@ -61,14 +62,13 @@ __all__ = [
     "eigen_equations",
     "cos_theta_witness",
     "export_sdpa",
-    "sdpa_lines",
     "parse_sdpa",
 ]
 
 DEFAULT_TOL = 1e-8
 
-# Entry lines are rendered, and export_sdpa writes them, this many at a time
-# (about 150 KB of text).
+# export_sdpa renders and writes the entry lines this many at a time (about
+# 150 KB of text per write).
 SDPA_WRITE_LINES = 1 << 12
 
 # Residual names measured as norms (feasible iff <= tol); all other
@@ -331,49 +331,43 @@ def cos_theta_witness(x, z, tau: float, tol: float = DEFAULT_TOL):
 #   7: -(2nr*)  (lb only) paired inequalities for J_Z^T s = 0
 
 
-def _entry_lines(var, blk, rows, cols, values) -> list[str]:
-    """SDPA entry lines ``var blk i j value`` of the nonzero entries, in order.
+def _write_entries(fh, var, blk, rows, cols, values) -> None:
+    """Write the SDPA entry lines ``var blk i j value`` of the nonzero entries.
 
-    The five arguments are arrays with one entry each, positions 0-based.
-    Zero values are dropped, so ``-0.0`` and ``0.0`` (equal as keys,
-    different as text) never meet.  Each distinct value goes through
-    ``serialize.format_float`` once; the lines are then rendered
-    ``SDPA_WRITE_LINES`` at a time with one ``np.char.add`` per field over
-    fixed-width byte strings: a table of the numbers ``0..top`` (variables,
-    blocks and 1-based positions) and one of the distinct values' texts.
+    The five arguments are arrays with one entry each, in file order and
+    positions 0-based.  Zero values are dropped, so ``-0.0`` and ``0.0``
+    (equal as keys, different as text) never meet.  Each distinct value goes
+    through ``serialize.format_float`` once; the lines are then rendered and
+    written to the binary file ``fh`` ``SDPA_WRITE_LINES`` at a time, with one
+    ``np.char.add`` per field over fixed-width byte strings: a table of the
+    numbers ``0..top`` (variables, blocks and 1-based positions) and one of
+    the distinct values' texts.
     """
     keep = values != 0.0
     if not keep.all():
         var, blk, rows, cols, values = (a[keep] for a in (var, blk, rows, cols, values))
     if not values.size:
-        return []
+        return
     distinct, index = np.unique(values, return_inverse=True)
     value_texts = np.array([serialize.format_float(x).encode() for x in distinct.tolist()])
     top = max(int(var.max()), int(blk.max()), int(rows.max()) + 1, int(cols.max()) + 1)
     numbers = np.array([b"%d " % k for k in range(top + 1)])
 
     add = np.char.add
-    lines: list[str] = []
     for start in range(0, values.size, SDPA_WRITE_LINES):
         part = slice(start, start + SDPA_WRITE_LINES)
         text = add(numbers[var[part]], numbers[blk[part]])
         text = add(add(text, numbers[rows[part] + 1]), numbers[cols[part] + 1])
         text = add(text, value_texts[index[part]])
-        lines.extend(b"\n".join(text.tolist()).decode().split("\n"))
-    return lines
-
-
-def _paired(grad: np.ndarray) -> np.ndarray:
-    """Interleave ``grad`` and ``-grad`` along the last axis."""
-    out = np.empty(grad.shape[:-1] + (2 * grad.shape[-1],))
-    out[..., 0::2] = grad
-    out[..., 1::2] = -grad
-    return out
+        fh.write(b"\n".join(text.tolist()) + b"\n")
 
 
 def _paired_entries(grad: np.ndarray):
-    """``(t, i, i, value)`` of the nonzero diagonal entries of ``_paired(grad)[t]``."""
-    paired = _paired(grad)
+    """``(t, i, i, value)`` of the nonzero diagonal entries of the paired
+    rows: ``grad[t]`` and ``-grad[t]`` interleaved."""
+    paired = np.empty(grad.shape[:-1] + (2 * grad.shape[-1],))
+    paired[..., 0::2] = grad
+    paired[..., 1::2] = -grad
     t, i = np.nonzero(paired)
     return t, i, i, paired[t, i]
 
@@ -531,8 +525,15 @@ def _sdpa_entries(cert: CertificateSDP):
     return tuple(np.concatenate(col + [t[k] for t in tails]) for k, col in enumerate(columns))
 
 
-def sdpa_lines(cert: CertificateSDP, comments=()) -> list[str]:
-    """Render the assembled system as SDPA sparse-format lines."""
+def export_sdpa(cert: CertificateSDP, path, comments=()) -> None:
+    """Write the system to ``path`` in SDPA sparse format (deterministic).
+
+    Each comment becomes one ``* `` line at the top; a comment with a line
+    break raises ``ValueError`` before the file is opened.
+    """
+    header = [f"* {c}" for c in comments]
+    if any("\n" in line or "\r" in line for line in header):
+        raise ValueError("SDPA comments must not contain line breaks")
     n, r, r_star = cert.n, cert.r, cert.r_star
     n2 = n * n
     nr = n * r
@@ -544,27 +545,17 @@ def sdpa_lines(cert: CertificateSDP, comments=()) -> list[str]:
     if lb:
         block_sizes += [n, -(2 * n * r_star)]
 
-    lines = [f"* {c}" for c in comments]
-    lines.append(str(m))
-    lines.append(str(len(block_sizes)))
-    lines.append(" ".join(str(b) for b in block_sizes))
+    header.append(str(m))
+    header.append(str(len(block_sizes)))
+    header.append(" ".join(str(b) for b in block_sizes))
     one, minus_one, zero = (serialize.format_float(v) for v in (1.0, -1.0, 0.0))
-    lines.append(" ".join([one, minus_one] + [zero] * (m - 2)))
+    header.append(" ".join([one, minus_one] + [zero] * (m - 2)))
+    head = ("\n".join(header) + "\n").encode()
 
-    lines += _entry_lines(*_sdpa_entries(cert))
-    return lines
-
-
-def export_sdpa(cert: CertificateSDP, path, comments=()) -> None:
-    """Write the system to ``path`` in SDPA sparse format (deterministic).
-
-    The lines are written in slices of ``SDPA_WRITE_LINES``, so only one
-    slice's text is held next to the line list.
-    """
-    lines = sdpa_lines(cert, comments)
-    with open(path, "w") as fh:
-        for start in range(0, len(lines), SDPA_WRITE_LINES):
-            fh.write("\n".join(lines[start : start + SDPA_WRITE_LINES]) + "\n")
+    entries = _sdpa_entries(cert)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        _write_entries(fh, *entries)
 
 
 def parse_sdpa(text: str) -> dict:

@@ -12,9 +12,7 @@ Exit codes: 0 success; 1 a verification ran and the property failed;
 Every emitted artifact embeds a run manifest (subcommand, resolved
 parameters, paths, tool version, timestamp).  The timestamp honors
 ``SOURCE_DATE_EPOCH`` when set and is null otherwise, keeping default runs
-byte-identical.  ``trials --threads`` is accepted for compatibility and has
-no effect (all trials run in one batch on one thread), so it is left out of
-the trials manifest.
+byte-identical.
 """
 
 from __future__ import annotations
@@ -226,7 +224,7 @@ def _cmd_trials(args) -> int:
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    report = dynamics.run_trials(cfg, threads=args.threads)
+    report = dynamics.run_trials(cfg)
     parameters = {
         "search_rank": args.search_rank,
         "learning_rate": args.lr,
@@ -347,12 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=20000)
     p.add_argument("--success-tol", type=float, default=1e-6)
     p.add_argument("--stuck-tol", type=float, default=0.1)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="accepted for compatibility; has no effect",
-    )
     p.add_argument("--csv", default=None, help="per-trial CSV path (default stdout)")
     p.add_argument("--summary", default=None, help="aggregate JSON path")
     p.set_defaults(handler=_cmd_trials)

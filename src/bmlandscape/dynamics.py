@@ -344,17 +344,14 @@ def _classify(f: float, success_tol: float, stuck_tol: float) -> str:
     return "undetermined"
 
 
-def run_trials(cfg: TrialConfig, threads: int | None = None) -> TrialReport:
+def run_trials(cfg: TrialConfig) -> TrialReport:
     """Run the full escape experiment described by ``cfg``.
 
     The spurious factor (and every sampled initial point) is padded with zero
-    columns up to ``cfg.search_rank``.  ``threads`` is accepted for
-    compatibility and has no effect beyond validation: all trials run in one
-    batch on the calling thread.  Raises ``ValueError`` when a trial
-    diverges, naming the earliest one.
+    columns up to ``cfg.search_rank``.  All trials run in one batch on the
+    calling thread.  Raises ``ValueError`` when a trial diverges, naming the
+    earliest one.
     """
-    if threads is not None and threads < 1:
-        raise ValueError("thread count must be at least 1")
     obj = cfg.instance.objective
     n = obj.n
     pad = cfg.search_rank - cfg.instance.r

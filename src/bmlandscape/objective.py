@@ -18,9 +18,9 @@ the residual ``E = X X^T - M*`` (``residuals``, ``apply_gram``, ``values``,
 ``grads``): ``S = mat(G vec(E))``, ``f = 1/2 <E, S>`` and ``grad f = 2 S X``.
 They take a leading batch axis; the trial engine calls them on whole
 batches and the single-factor methods (``f_eval``, ``f_grad``,
-``phi_eval``, ``phi_grad``, ``hess_apply``, ``f_hess_quadform``,
-``f_hess_matrix``) are their batch-of-one case, so both report bitwise the
-same numbers.  The curvature constants come from ``G`` as well.
+``f_hess_quadform``, ``f_hess_matrix``) are their batch-of-one case, so
+both report bitwise the same numbers.  The curvature constants come from
+``G`` as well.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .matkernel import as_factor, as_symmetric, jacobian_matrix, sym_eig
+from .matkernel import as_factor, jacobian_matrix, sym_eig
 
 __all__ = ["QuadraticObjective", "SecondOrderReport", "symmetric_basis"]
 
@@ -193,28 +193,6 @@ class QuadraticObjective:
             self._bounds = (mu, big)
         return self._bounds
 
-    # -- matrix-space evaluations ---------------------------------------
-
-    def _residual(self, m_mat) -> np.ndarray:
-        return as_symmetric(m_mat) - self.m_star
-
-    def _apply(self, m) -> np.ndarray:
-        """sum_k <A_k, M> A_k for one matrix; an overflow gives inf silently."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.apply_gram(m[None])[0]
-
-    def phi_eval(self, m_mat) -> float:
-        e = self._residual(m_mat)[None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(self.values(e, self.apply_gram(e))[0])
-
-    def phi_grad(self, m_mat) -> np.ndarray:
-        return self._apply(self._residual(m_mat))
-
-    def hess_apply(self, e_mat) -> np.ndarray:
-        """Hessian of phi applied to a symmetric direction (constant in M)."""
-        return self._apply(as_symmetric(e_mat))
-
     # -- factored-space evaluations --------------------------------------
 
     def _check_factor(self, x) -> np.ndarray:
@@ -253,8 +231,7 @@ class QuadraticObjective:
         with np.errstate(over="ignore", invalid="ignore"):
             s = self._s_term(x)
             w = x @ v.T + v @ x.T
-            # hess_apply without its finiteness check, so overflow reaches ours
-            hw = self._apply(0.5 * (w + w.T))
+            hw = self.apply_gram((0.5 * (w + w.T))[None])[0]
             value = 2.0 * float(np.vdot(s, v @ v.T)) + float(np.vdot(hw, w))
         if not math.isfinite(value):
             raise ValueError("Hessian quadratic form of f at X overflows float64")

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import re
 import warnings
@@ -17,6 +18,13 @@ SEED = 55117
 def instance_with_gram(n, r, rs):
     inst = ce.build(n, r, rs)
     return inst, inst.objective.measurement_gram()
+
+
+def sdpa_text(cert, directory, comments=()) -> str:
+    """The text ``export_sdpa`` writes for ``cert`` into ``directory``."""
+    path = directory / "system.dat-s"
+    certs.export_sdpa(cert, path, comments)
+    return path.read_bytes().decode()
 
 
 # -- assembly -------------------------------------------------------------------
@@ -201,17 +209,17 @@ def test_witness_validation():
 # -- SDPA export -----------------------------------------------------------------------
 
 
-def test_sdpa_lines_deterministic_and_commented():
+def test_sdpa_lines_deterministic_and_commented(tmp_path):
     inst, _ = instance_with_gram(4, 2, 1)
     cert = certs.assemble(inst.x_spur, inst.z, "ub")
-    first = certs.sdpa_lines(cert, comments=("run A",))
-    second = certs.sdpa_lines(cert, comments=("run A",))
+    first = sdpa_text(cert, tmp_path, comments=("run A",))
+    second = sdpa_text(cert, tmp_path, comments=("run A",))
     assert first == second
-    assert first[0] == "* run A"
+    assert first.startswith("* run A\n")
 
 
-# sha256 of "\n".join(sdpa_lines(cert)) + "\n", computed with the per-entry
-# loop emitter that the array version replaced: any changed byte fails here.
+# sha256 of the file export_sdpa writes, computed with the per-entry loop
+# emitter that the array version replaced: any changed byte fails here.
 SDPA_SHA256 = {
     ((4, 2, 1), None, "ub"): "f67f84c7f1d4837c087c7042221b3e2ffa38e8b17cdd836641a8f4896c40c613",
     ((4, 2, 1), None, "lb"): "d5e01f442407040a499f904ae8ce9c3950ea2c034efe2a0d17b0d17c005a15e6",
@@ -238,14 +246,13 @@ SDPA_SHA256 = {
         for dims, seed, which in SDPA_SHA256
     ],
 )
-def test_sdpa_bytes_pinned(dims, basis_seed, which):
+def test_sdpa_bytes_pinned(tmp_path, dims, basis_seed, which):
     if basis_seed is None:
         inst = ce.build(*dims)
     else:
         inst = ce.build(*dims, basis_mode="random", seed=basis_seed)
     cert = certs.assemble(inst.x_spur, inst.z, which)
-    text = "\n".join(certs.sdpa_lines(cert)) + "\n"
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    digest = hashlib.sha256(sdpa_text(cert, tmp_path).encode()).hexdigest()
     assert digest == SDPA_SHA256[(dims, basis_seed, which)]
 
 
@@ -281,9 +288,11 @@ RENDER_PAIRS = {
 
 @pytest.mark.parametrize("name", list(RENDER_PAIRS))
 @pytest.mark.parametrize("which", ["ub", "lb"])
-def test_sdpa_entry_lines_render_their_own_parse(name, which):
+def test_sdpa_entry_lines_render_their_own_parse(tmp_path, name, which):
     x, z = RENDER_PAIRS[name](np.random.default_rng(SEED + 5))
-    lines = certs.sdpa_lines(certs.assemble(x, z, which))
+    text = sdpa_text(certs.assemble(x, z, which), tmp_path)
+    assert text.endswith("\n")
+    lines = text[:-1].split("\n")
     assert all(lines)
     entries = lines[4:]
     for line in entries:
@@ -298,13 +307,16 @@ def test_entry_lines_of_zero_values_render_nothing():
     def render(var, blk, rows, cols, values):
         values = np.asarray(values, dtype=float)
         full = np.full(values.size, 1, dtype=np.intp)
-        return certs._entry_lines(var * full, blk * full, rows, cols, values)
+        fh = io.BytesIO()
+        certs._write_entries(fh, var * full, blk * full, rows, cols, values)
+        return fh.getvalue()
 
     diag = np.arange(3)
-    assert render(3, 5, diag, diag, [0.0, -0.0, 0.0]) == []
+    assert render(3, 5, diag, diag, [0.0, -0.0, 0.0]) == b""
     rows, cols = np.triu_indices(2)
-    assert render(4, 1, rows, cols, np.zeros((2, 2))[rows, cols]) == []
-    assert render(5, 7, diag[:0], diag[:0], []) == []
+    assert render(4, 1, rows, cols, np.zeros((2, 2))[rows, cols]) == b""
+    assert render(5, 7, diag[:0], diag[:0], []) == b""
+    assert render(2, 3, diag[:2], diag[:2], [0.0, -2.5]) == b"2 3 2 2 %s\n" % serialize.format_float(-2.5).encode()
 
 
 def _realized_diagonals(parsed, blk):
@@ -321,7 +333,7 @@ def _realized_diagonals(parsed, blk):
     [((4, 2, 1), None), ((5, 3, 2), None), ((6, 4, 2), None), ((5, 3, 2), 11), ((6, 4, 1), 123)],
 )
 @pytest.mark.parametrize("which", ["ub", "lb"])
-def test_stacked_products_match_one_product_per_row(dims, basis_seed, which):
+def test_stacked_products_match_one_product_per_row(tmp_path, dims, basis_seed, which):
     # entries are written with 17 significant digits, so their parse is the
     # emitted double; each row must equal J^T v on a freshly allocated v
     if basis_seed is None:
@@ -329,7 +341,7 @@ def test_stacked_products_match_one_product_per_row(dims, basis_seed, which):
     else:
         inst = ce.build(*dims, basis_mode="random", seed=basis_seed)
     cert = certs.assemble(inst.x_spur, inst.z, which)
-    parsed = certs.parse_sdpa("\n".join(certs.sdpa_lines(cert)))
+    parsed = certs.parse_sdpa(sdpa_text(cert, tmp_path))
     n = cert.n
     n2 = n * n
 
@@ -357,18 +369,18 @@ def test_stacked_products_match_one_product_per_row(dims, basis_seed, which):
     assert var == parsed["m"] + 1
 
 
-def test_sdpa_header_structure():
+def test_sdpa_header_structure(tmp_path):
     inst, _ = instance_with_gram(3, 2, 1)
     n = 3
     n_h = (n * n) * (n * n + 1) // 2
     cert = certs.assemble(inst.x_spur, inst.z, "ub")
-    parsed = certs.parse_sdpa("\n".join(certs.sdpa_lines(cert)))
+    parsed = certs.parse_sdpa(sdpa_text(cert, tmp_path))
     assert parsed["m"] == 2 + n_h
     assert parsed["block_sizes"] == [9, 9, 6, -2, -12]
     assert parsed["c"] == [1.0, -1.0] + [0.0] * n_h
 
     cert_lb = certs.assemble(inst.x_spur, inst.z, "lb")
-    parsed_lb = certs.parse_sdpa("\n".join(certs.sdpa_lines(cert_lb)))
+    parsed_lb = certs.parse_sdpa(sdpa_text(cert_lb, tmp_path))
     n_s = n * (n + 1) // 2
     assert parsed_lb["m"] == 2 + n_h + n_s
     assert parsed_lb["block_sizes"] == [9, 9, 6, -2, -12, 3, -6]
@@ -400,14 +412,14 @@ def _dense_blocks(parsed, var):
     return blocks
 
 
-def test_sdpa_entries_realize_the_ub_system():
+def test_sdpa_entries_realize_the_ub_system(tmp_path):
     # semantic oracle: contracting the exported coefficients with a random
     # assignment must reproduce the constraint matrices computed directly
     rng = np.random.default_rng(SEED + 2)
     x = rng.standard_normal((2, 1))
     z = rng.standard_normal((2, 1))
     cert = certs.assemble(x, z, "ub")
-    parsed = certs.parse_sdpa("\n".join(certs.sdpa_lines(cert)))
+    parsed = certs.parse_sdpa(sdpa_text(cert, tmp_path))
     n, r = 2, 1
     n2 = n * n
     n_h = n2 * (n2 + 1) // 2
@@ -449,12 +461,12 @@ def test_sdpa_entries_realize_the_ub_system():
     assert np.allclose(np.diag(realized[5]), np.column_stack([grad, -grad]).ravel(), atol=1e-12)
 
 
-def test_sdpa_slack_coordinates_realize_the_lb_system():
+def test_sdpa_slack_coordinates_realize_the_lb_system(tmp_path):
     rng = np.random.default_rng(SEED + 3)
     x = rng.standard_normal((2, 1))
     z = rng.standard_normal((2, 1))
     cert = certs.assemble(x, z, "lb")
-    parsed = certs.parse_sdpa("\n".join(certs.sdpa_lines(cert)))
+    parsed = certs.parse_sdpa(sdpa_text(cert, tmp_path))
     n = 2
     n2, n_h = 4, 10
     s_basis = symmetric_basis(n)
@@ -549,12 +561,13 @@ def _expected_blocks(cert):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(factor_pairs())
-def test_sdpa_entries_realize_both_systems(pair):
+def test_sdpa_entries_realize_both_systems(tmp_path_factory, pair):
     x, z = pair
+    directory = tmp_path_factory.mktemp("sdpa")
     assume(np.any(x @ x.T != z @ z.T))
     for which in ("ub", "lb"):
         cert = certs.assemble(x, z, which)
-        parsed = certs.parse_sdpa("\n".join(certs.sdpa_lines(cert)))
+        parsed = certs.parse_sdpa(sdpa_text(cert, directory))
         entries = [(*map(int, row[:4]), row[4]) for row in parsed["entries"].tolist()]
         sizes = parsed["block_sizes"]
 

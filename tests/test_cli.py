@@ -438,17 +438,6 @@ def test_trials_summary_to_stdout_when_csv_redirected(capsys, tmp_path):
     assert json.loads(out)["trials"] == 4
 
 
-def test_trials_csv_identical_across_thread_flags(capsys, tmp_path):
-    path = build_instance(capsys, tmp_path, n=4, r=2, rstar=1)
-    c1 = tmp_path / "t1.csv"
-    c2 = tmp_path / "t2.csv"
-    assert run(capsys, *trials_args(path, "--threads", "1", "--csv", str(c1)))[0] == 0
-    assert run(capsys, *trials_args(path, "--threads", "3", "--csv", str(c2)))[0] == 0
-    b1, b2 = c1.read_bytes(), c2.read_bytes()
-    # embedded manifests cite their own output paths; compare past that line
-    assert b1.split(b"\n", 1)[1] == b2.split(b"\n", 1)[1]
-
-
 def test_trials_rejects_search_rank_below_instance(capsys, tmp_path):
     path = build_instance(capsys, tmp_path, n=4, r=2, rstar=1)
     rc, _, err = run(
@@ -587,17 +576,17 @@ MALFORMED_FLAGS = [
     ["ey", "--s", "9,8,7,6,5,4,3,2", "--d", "1", "--brute-force"],
     ["export", "--instance", "{good}", "--which", "mid", "--out", "{dir}/cert.dat-s"],
     ["export", "--instance", "{good}", "--which", "ub", "--out", "{dir}/none/cert.dat-s"],
+    # a line break in an SDPA comment would write a stray header line
+    ["export", "--instance", "{good}", "--which", "ub", "--out", "{dir}/cert.dat-s", "--comment", "hello\n7"],
+    ["export", "--instance", "{good}", "--which", "lb", "--out", "{dir}/cert.dat-s", "--comment", "a\rb"],
     [], ["solve"], ["verify"], ["build", "--n", "3"],
 ]
 
 
 @st.composite
 def malformed_flags(draw):
-    """A malformed argv for one of the subcommands."""
-    kind = draw(st.sampled_from(["listed", "ranks", "word"]))
-    if kind == "listed":
-        return draw(st.sampled_from(MALFORMED_FLAGS))
-    if kind == "ranks":
+    """A malformed argv for one of the subcommands, beyond the listed ones."""
+    if draw(st.booleans()):  # ranks outside 1 <= r* <= r < n
         rank = st.integers(-2, 6)
         n, r, rs = draw(
             st.tuples(rank, rank, rank).filter(lambda t: not 1 <= t[2] <= t[1] < t[0])
@@ -651,6 +640,11 @@ def test_malformed_instance_file_exits_2(command, text):
         "export": ["export", "--which", "ub", "--out", "{dir}/cert.dat-s"],
     }[command]
     _run_malformed(argv + ["--instance", "{bad}"], text)
+
+
+@pytest.mark.parametrize("argv", MALFORMED_FLAGS)
+def test_listed_malformed_flags_exit_2(argv):
+    _run_malformed(argv)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -332,7 +332,7 @@ def test_windowed_engine_flushes_subnormal_iterates():
 
 
 def test_overparameterized_trials_all_escape():
-    report = dynamics.run_trials(small_config(), threads=1)
+    report = dynamics.run_trials(small_config())
     assert report.total == 10
     assert report.successes == 10
     assert report.stuck == 0 and report.undetermined == 0
@@ -343,7 +343,7 @@ def test_overparameterized_trials_all_escape():
 
 
 def test_trial_zero_frozen_regression_row():
-    report = dynamics.run_trials(small_config(), threads=1)
+    report = dynamics.run_trials(small_config())
     row = report.to_csv().splitlines()[1]
     assert row == (
         "0,16138347438539916964,success,9.9968168650199258e-07,"
@@ -386,7 +386,7 @@ def test_outcome_and_iteration_columns_pinned(search_rank):
 
 def test_rank_limited_trials_stay_pinned():
     cfg = small_config(search_rank=3, max_iters=50, trials=8)
-    report = dynamics.run_trials(cfg, threads=1)
+    report = dynamics.run_trials(cfg)
     gap = ce.spurious_gap(cfg.instance.r - cfg.instance.r_star + 1)
     assert report.successes == 0
     assert report.stuck == 8
@@ -433,14 +433,16 @@ def test_cli_diverging_trials_exit_2_without_artifacts(capsys, tmp_path):
 
 
 def test_cli_rejects_zero_threads(capsys, tmp_path):
-    rc, err = _cli_trials(capsys, tmp_path, "--threads", "0")
-    assert rc == 2
-    assert "thread count" in err
+    # the flag is gone, so any --threads is an argparse usage error
+    with pytest.raises(SystemExit) as exc:
+        _cli_trials(capsys, tmp_path, "--threads", "0")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 0" in capsys.readouterr().err
 
 
 def test_seed_column_follows_spawn_key_contract():
     cfg = small_config(trials=5, max_iters=1, master_seed=909)
-    report = dynamics.run_trials(cfg, threads=1)
+    report = dynamics.run_trials(cfg)
     for rec in report.records:
         ss = np.random.SeedSequence(909, spawn_key=(rec.trial,))
         assert rec.seed == int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -448,7 +450,7 @@ def test_seed_column_follows_spawn_key_contract():
 
 def test_csv_shape_and_summary_counts():
     cfg = small_config(trials=6, max_iters=30)
-    report = dynamics.run_trials(cfg, threads=2)
+    report = dynamics.run_trials(cfg)
     text = report.to_csv()
     lines = text.splitlines()
     assert lines[0] == dynamics.CSV_HEADER

@@ -97,49 +97,6 @@ def test_attributes():
     assert np.allclose(obj.m_star, obj.ground_truth @ obj.ground_truth.T)
 
 
-# -- matrix-space calculus ------------------------------------------------------
-
-
-def test_phi_zero_at_ground_truth():
-    obj, _ = make_objective(5, 2, 8, SEED + 1)
-    assert obj.phi_eval(obj.m_star) == 0.0
-    assert np.linalg.norm(obj.phi_grad(obj.m_star)) <= 1e-12
-
-
-def test_phi_quadratic_taylor_is_exact():
-    # phi is a quadratic polynomial, so the 2nd-order expansion has no error
-    obj, rng = make_objective(4, 1, 5, SEED + 2)
-    m = rng.standard_normal((4, 4))
-    m = m + m.T
-    e = rng.standard_normal((4, 4))
-    e = e + e.T
-    lhs = obj.phi_eval(m + e)
-    rhs = (
-        obj.phi_eval(m)
-        + np.vdot(obj.phi_grad(m), e)
-        + 0.5 * np.vdot(obj.hess_apply(e), e)
-    )
-    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-
-
-def test_phi_outputs_symmetric():
-    obj, rng = make_objective(3, 1, 4, SEED + 3)
-    m = rng.standard_normal((3, 3))
-    g = obj.phi_grad(m)
-    h = obj.hess_apply(rng.standard_normal((3, 3)))
-    assert np.array_equal(g, g.T)
-    assert np.array_equal(h, h.T)
-
-
-def test_gram_symmetric_realizes_hess_apply():
-    obj, rng = make_objective(4, 2, 7, SEED + 4)
-    g = obj.gram_symmetric
-    for _ in range(5):
-        e = rng.standard_normal((4, 4))
-        e = 0.5 * (e + e.T)
-        assert np.linalg.norm(g @ vec(e) - vec(obj.hess_apply(e))) <= 1e-11
-
-
 def test_measurement_gram_definition():
     obj, _ = make_objective(3, 1, 5, SEED + 5)
     want = sum(np.outer(vec(a), vec(a)) for a in obj.measurements)
