@@ -66,7 +66,6 @@ class AlphaBeta:
 class BoundEvaluation:
     """A condition-number lower bound together with how it was attained."""
 
-    ab: AlphaBeta
     kappa_lb: float  # math.inf when no finite bound is certified
     branch: str  # "first" (boundary optimum t=0) or "second" (interior)
     t_opt: float
@@ -133,7 +132,7 @@ def kappa_lb_closed_form(ab: AlphaBeta) -> BoundEvaluation:
         raise ValueError(f"beta must be finite, got {ab.beta}")
     if ab.degenerate:
         return BoundEvaluation(
-            ab=ab, kappa_lb=math.inf, branch="first", t_opt=0.0, gamma_value=1.0
+            kappa_lb=math.inf, branch="first", t_opt=0.0, gamma_value=1.0
         )
     alpha = _check_unit(ab.alpha)
     beta = float(ab.beta)
@@ -142,14 +141,11 @@ def kappa_lb_closed_form(ab: AlphaBeta) -> BoundEvaluation:
     if _branch_is_first(alpha, beta):
         s = math.sqrt(max(0.0, 1.0 - alpha * alpha))
         value = math.inf if s >= 1.0 else (1.0 + s) / (1.0 - s)
-        return BoundEvaluation(
-            ab=ab, kappa_lb=value, branch="first", t_opt=0.0, gamma_value=s
-        )
+        return BoundEvaluation(kappa_lb=value, branch="first", t_opt=0.0, gamma_value=s)
     value = math.inf
     if beta > 0.0:
         value = (1.0 - alpha * beta) / ((alpha - beta) * beta)
     return BoundEvaluation(
-        ab=ab,
         kappa_lb=value,
         branch="second",
         t_opt=_t_opt_second(alpha, beta),
@@ -237,20 +233,18 @@ def tradeoff_max(alpha: float, beta: float) -> BoundEvaluation:
     alpha = _check_unit(alpha)
     if beta < 0.0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    ab = AlphaBeta(alpha=alpha, beta=beta)
     if alpha == 0.0:
         return BoundEvaluation(
-            ab=ab, kappa_lb=math.inf, branch="first", t_opt=0.0, gamma_value=1.0
+            kappa_lb=math.inf, branch="first", t_opt=0.0, gamma_value=1.0
         )
     # The second branch implies beta < alpha <= 1, so gamma is defined everywhere.
     gamma_value = gamma(alpha, beta)
     value = math.inf if gamma_value >= 1.0 else (1.0 + gamma_value) / (1.0 - gamma_value)
     if _branch_is_first(alpha, beta):
         return BoundEvaluation(
-            ab=ab, kappa_lb=value, branch="first", t_opt=0.0, gamma_value=gamma_value
+            kappa_lb=value, branch="first", t_opt=0.0, gamma_value=gamma_value
         )
     return BoundEvaluation(
-        ab=ab,
         kappa_lb=value,
         branch="second",
         t_opt=_t_opt_second(alpha, beta),

@@ -274,7 +274,7 @@ def cos_theta_witness(x, z, tau: float, tol: float = DEFAULT_TOL):
 
     w = np.zeros((n * r, n * r))
     if tau > 0.0:
-        z_perp = z - x @ (pinv(x) @ z)
+        z_perp = ab.z_perp
         e2_norm = float(np.linalg.norm(z_perp @ z_perp.T))
         if e2_norm == 0.0:
             raise ValueError("tau > 0 requires Z to leave the range of X")

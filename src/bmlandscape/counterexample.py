@@ -17,9 +17,10 @@ factor ``x_spur``, the objective (which owns the ground truth ``Z``) and
 the claimed ``kappa``.  It derives ``n``, ``r``, ``r_star``, ``q`` and
 ``z`` from those matrices.  Records still carry copies of the derived
 facts, and :meth:`CounterexampleInstance.from_obj` rejects any copy that
-disagrees with its matrices, naming the field.  It also rejects a record of
-the ``standard`` or ``random`` basis mode whose ``kappa`` is not exactly
-``1 + 2 sqrt(q)``.
+disagrees with its matrices, naming the field.  It also rejects a record
+that :func:`build` could not have written: a basis mode other than
+``standard`` or ``random``, ranks outside ``1 <= r_star <= r < n``, or a
+``kappa`` that is not exactly ``1 + 2 sqrt(q)``.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ class CounterexampleInstance:
     shape of ``x_spur``, the ground truth ``z`` and its rank ``r_star``
     belong to the objective, and ``q = r - r_star + 1``; so no copy of a
     fact can disagree with the matrices it describes.  ``kappa`` is the
-    construction's claimed condition number, stored as built; records of
-    the two :func:`build` basis modes must claim ``1 + 2 sqrt(q)`` exactly.
+    construction's claimed condition number, stored as built; a record
+    must name one of the two :func:`build` basis modes and claim
+    ``1 + 2 sqrt(q)`` exactly.
     """
 
     kappa: float
@@ -108,17 +110,23 @@ class CounterexampleInstance:
     def from_obj(cls, obj: dict) -> "CounterexampleInstance":
         """Load a record, rejecting any stored copy its matrices contradict.
 
-        A record whose ranks break ``r >= r_star`` (so ``q < 1``) is
-        rejected too: no spurious-point formula holds for it.  A record of a
-        :func:`build` basis mode must claim exactly the construction's
-        ``kappa = 1 + 2 sqrt(q)``; checking the claim against the spectrum
-        of the objective would take an eigensolver call at every load, so
-        the CLI's ``verify`` makes that check instead.  ``seed`` must be a
-        JSON integer and ``kappa`` a JSON number; neither is coerced.
+        A record whose ranks break ``1 <= r_star <= r < n`` is rejected
+        too, as :func:`build` rejects them: no spurious-point formula holds
+        for it.  ``basis_mode`` must be one of :func:`build`'s, the JSON
+        string ``"standard"`` or ``"random"``, and the record must claim
+        exactly the construction's ``kappa = 1 + 2 sqrt(q)``; checking the
+        claim against the spectrum of the objective would take an
+        eigensolver call at every load, so the CLI's ``verify`` makes that
+        check instead.  ``seed`` must be a JSON integer and ``kappa`` a JSON
+        number; none of the three is coerced.
         """
         if not isinstance(obj, dict) or obj.get("kind") != "counterexample":
             raise ValueError("record is not a counterexample instance")
-        seed, kappa = obj["seed"], obj["kappa"]
+        seed, kappa, mode = obj["seed"], obj["kappa"], obj["basis_mode"]
+        if mode not in ("standard", "random"):
+            raise ValueError(
+                f"record field basis_mode={mode!r} is not 'standard' or 'random'"
+            )
         if type(seed) is not int:
             raise ValueError(f"record field seed={seed!r} is not an integer")
         if type(kappa) not in (int, float):
@@ -133,7 +141,7 @@ class CounterexampleInstance:
             factors[name] = f
         inst = cls(
             kappa=float(kappa),
-            basis_mode=str(obj["basis_mode"]),
+            basis_mode=mode,
             seed=seed,
             basis=serialize.matrix_from_lists(obj["basis"]),
             x_spur=factors["x_spur"],
@@ -156,13 +164,17 @@ class CounterexampleInstance:
                 f"record has r={inst.r} below r_star={inst.r_star} (q={inst.q}); "
                 "an instance needs r >= r_star, so q >= 1"
             )
-        if inst.basis_mode in ("standard", "random"):
-            kappa = 1.0 + 2.0 * math.sqrt(inst.q)
-            if inst.kappa != kappa:
-                raise ValueError(
-                    f"record field kappa={obj['kappa']!r} disagrees with its "
-                    f"matrices (kappa=1+2*sqrt(q)={kappa!r} at q={inst.q})"
-                )
+        if not 1 <= inst.r_star <= inst.r < inst.n:
+            raise ValueError(
+                f"record has r_star={inst.r_star}, r={inst.r}, n={inst.n}; an "
+                "instance needs 1 <= r_star <= r < n"
+            )
+        kappa = 1.0 + 2.0 * math.sqrt(inst.q)
+        if inst.kappa != kappa:
+            raise ValueError(
+                f"record field kappa={obj['kappa']!r} disagrees with its "
+                f"matrices (kappa=1+2*sqrt(q)={kappa!r} at q={inst.q})"
+            )
         return inst
 
 

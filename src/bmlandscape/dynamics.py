@@ -55,7 +55,6 @@ __all__ = [
     "TrialConfig",
     "TrialRecord",
     "TrialReport",
-    "nesterov_step",
     "run_trials",
     "sample_near",
 ]
@@ -162,42 +161,20 @@ class TrialReport:
         }
 
 
-def nesterov_step(obj, x, v, lr, mom):
-    """One accelerated descent step.
+def _step(x, v, g, lr, mom, out):
+    """One accelerated descent step, the update of the trial engine.
 
-        V' = mom * V - lr * grad f(X)
-        X' = X + mom * V' - lr * grad f(X)
+        V' = mom * V - lr * g
+        X' = X + mom * V' - lr * g
 
-    ``obj`` is anything exposing ``f_grad``; with ``grad f(X) = 0`` and
-    ``V = 0`` the point is fixed, and with ``mom = 0`` this is plain
-    gradient descent.  It does not flush subnormal entries; only the trial
-    engine does, once per window.
+    The result is written into ``out``, a pair ``(x_next, v_next)``, and
+    ``g`` is overwritten by ``lr * g``; ``v_next`` may be ``v`` itself,
+    ``x_next`` must not share memory with ``x``.  The bits are those of
+    ``x + mom * (mom * v - lr * g) - lr * g``.  It does not flush subnormal
+    entries; the trial engine does, once per window.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape != v.shape:
-        raise ValueError(f"velocity shape {v.shape} != iterate shape {x.shape}")
-    g = np.asarray(obj.f_grad(x), dtype=float)
-    if g.shape != x.shape:
-        raise ValueError(f"gradient shape {g.shape} != iterate shape {x.shape}")
-    return _step(x, v, g, lr, mom)
-
-
-def _step(x, v, g, lr, mom, out=None):
-    """The update shared by ``nesterov_step`` and the trial engine.
-
-    ``out`` is an optional pair ``(x_next, v_next)`` of arrays that receive
-    the result, in which case ``g`` is overwritten by ``lr * g``; ``v_next``
-    may be ``v`` itself, ``x_next`` must not share memory with ``x``.
-    Either way the bits are those of ``x + mom * (mom * v - lr * g) - lr *
-    g``, so a trial stepped in place matches ``nesterov_step``.
-    """
-    if out is None:
-        x_next, v_next = np.empty_like(x), np.empty_like(v)
-        lr_g = np.multiply(lr, g)
-    else:
-        x_next, v_next = out
-        lr_g = np.multiply(lr, g, out=g)
+    x_next, v_next = out
+    lr_g = np.multiply(lr, g, out=g)
     np.multiply(mom, v, out=v_next)
     np.subtract(v_next, lr_g, out=v_next)
     np.multiply(mom, v_next, out=x_next)

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkernel import as_symmetric, sym_eig
-
 __all__ = [
     "EYProblem",
     "EYSolution",
@@ -62,16 +60,14 @@ class EYProblem:
     """Eigenvalue-space description of one penalized approximation problem.
 
     ``s`` holds the target's eigenvalues sorted descending, ``d`` the
-    penalty's sorted ascending with ``len(d) <= len(s)``.  Sorting is
+    penalty's sorted ascending with ``len(d) <= len(s)``; the problem is
+    posed in the eigenbases, A = diag(s) and B = diag(d).  Sorting is
     enforced, never performed silently: the pairing argument behind the
-    closed form is order-sensitive, so callers with raw matrices should use
-    :meth:`from_matrices`, which sorts via eigendecomposition.
+    closed form is order-sensitive.
     """
 
     s: np.ndarray
     d: np.ndarray
-    u: np.ndarray | None = None  # eigenbasis of A, columns matching s
-    v: np.ndarray | None = None  # eigenbasis of B, columns matching d
 
     def __post_init__(self):
         s = _check_spectrum(self.s, "s", ascending=False)
@@ -82,9 +78,6 @@ class EYProblem:
             )
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "d", d)
-        for mat, size, name in ((self.u, s.size, "u"), (self.v, d.size, "v")):
-            if mat is not None and mat.shape != (size, size):
-                raise ValueError(f"{name} must be {size}x{size}, got {mat.shape}")
 
     @property
     def n(self) -> int:
@@ -94,35 +87,10 @@ class EYProblem:
     def r(self) -> int:
         return self.d.size
 
-    def target_matrix(self) -> np.ndarray:
-        if self.u is None:
-            return np.diag(self.s)
-        return self.u @ np.diag(self.s) @ self.u.T
-
-    def penalty_matrix(self) -> np.ndarray:
-        if self.v is None:
-            return np.diag(self.d)
-        return self.v @ np.diag(self.d) @ self.v.T
-
-    @classmethod
-    def from_matrices(cls, a, b) -> "EYProblem":
-        """Build from PSD matrices, sorting through eigendecomposition."""
-        a = as_symmetric(a)
-        b = as_symmetric(b)
-        if b.shape[0] > a.shape[0]:
-            raise ValueError("penalty dimension exceeds target dimension")
-        s, u = sym_eig(a)  # descending
-        d, v = sym_eig(b)
-        d, v = d[::-1].copy(), v[:, ::-1].copy()  # ascending
-        for name, w in (("A", s), ("B", d)):
-            if np.any(w < -1e-10 * max(1.0, abs(w).max())):
-                raise ValueError(f"{name} must be PSD, got eigenvalue {w.min()}")
-        return cls(s=np.maximum(s, 0.0), d=np.maximum(d, 0.0), u=u, v=v)
-
 
 @dataclass(frozen=True)
 class EYSolution:
-    y: np.ndarray  # minimizer in the problem's original frame
+    y: np.ndarray  # minimizer in the eigenbases of A and B
     value: float
     weights: np.ndarray  # (s_i - d_i)_+ for i <= r
 
@@ -147,10 +115,6 @@ def solve(p: EYProblem) -> EYSolution:
     value = _paired_value(p.s, range(p.r), weights)
     y = np.zeros((p.n, p.r))
     y[np.arange(p.r), np.arange(p.r)] = np.sqrt(weights)
-    if p.u is not None:
-        y = p.u @ y
-    if p.v is not None:
-        y = y @ p.v.T
     return EYSolution(y=y, value=value, weights=weights)
 
 
@@ -177,16 +141,16 @@ def brute_force(p: EYProblem) -> float:
 
 
 def objective_value(p: EYProblem, y) -> float:
-    """||A - Y Y^T||_F^2 + 2 <B, Y^T Y> in the problem's original frame."""
+    """||A - Y Y^T||_F^2 + 2 <B, Y^T Y> with A = diag(s), B = diag(d)."""
     y = np.asarray(y, dtype=float)
-    resid = p.target_matrix() - y @ y.T
-    return float(np.vdot(resid, resid) + 2.0 * np.vdot(p.penalty_matrix(), y.T @ y))
+    resid = np.diag(p.s) - y @ y.T
+    return float(np.vdot(resid, resid) + 2.0 * np.vdot(np.diag(p.d), y.T @ y))
 
 
 def first_order_residual(p: EYProblem, y) -> float:
     """Norm of the stationarity defect (A - Y Y^T) Y - Y B."""
     y = np.asarray(y, dtype=float)
-    defect = (p.target_matrix() - y @ y.T) @ y - y @ p.penalty_matrix()
+    defect = (np.diag(p.s) - y @ y.T) @ y - y @ np.diag(p.d)
     return float(np.linalg.norm(defect))
 
 

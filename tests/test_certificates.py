@@ -209,7 +209,7 @@ def test_witness_validation():
 # -- SDPA export -----------------------------------------------------------------------
 
 
-def test_sdpa_lines_deterministic_and_commented(tmp_path):
+def test_export_sdpa_deterministic_and_commented(tmp_path):
     inst, _ = instance_with_gram(4, 2, 1)
     cert = certs.assemble(inst.x_spur, inst.z, "ub")
     first = sdpa_text(cert, tmp_path, comments=("run A",))

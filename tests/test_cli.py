@@ -297,6 +297,33 @@ def test_kappa_off_the_construction_is_input_error(capsys, tmp_path, command):
     assert not (tmp_path / "cert.dat-s").exists()
 
 
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("case", ["relabelled", "wide"])
+def test_record_build_could_not_write_is_input_error(capsys, tmp_path, command, case):
+    # relabelled: a basis mode build has no kappa rule for, with kappa 2.0;
+    # wide: x_spur of build(6,3,3) zero-padded to 7 columns, every stored
+    # copy consistent with it, but r >= n
+    path = build_instance(capsys, tmp_path, n=6, r=3, rstar=3)
+    record = json.loads(path.read_text())
+    if case == "relabelled":
+        record["basis_mode"], record["kappa"] = "custom", 2.0
+        message = "record field basis_mode='custom'"
+    else:
+        record["x_spur"] = [row + [0.0] * 4 for row in record["x_spur"]]
+        record["r"], record["q"], record["kappa"] = 7, 5, 1.0 + 2.0 * math.sqrt(5)
+        message = "r=7, n=6"
+    path.write_text(json.dumps(record))
+    argv = instance_subcommand(command, path, tmp_path)
+    if command == "trials":  # at the record's own rank, which trials accepts
+        argv[argv.index("--search-rank") + 1] = str(len(record["x_spur"][0]))
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "cert.dat-s").exists()
+
+
 # -- bounds ------------------------------------------------------------------
 
 
@@ -505,11 +532,10 @@ JUNK = st.recursive(
     ),
     max_leaves=6,
 )
-# Every field the loader reads except basis_mode, which takes any value,
-# then one entry of each matrix.
+# Every field the loader reads, then one entry of each matrix.
 RECORD_FIELDS = (
     ("kind",), ("n",), ("r",), ("r_star",), ("q",), ("kappa",), ("seed",),
-    ("basis",), ("x_spur",), ("z",), ("objective",), ("objective", "n"),
+    ("basis_mode",), ("basis",), ("x_spur",), ("z",), ("objective",), ("objective", "n"),
     ("objective", "r_star"), ("objective", "Z"), ("objective", "measurements"),
 )
 MATRIX_ENTRIES = (

@@ -193,6 +193,15 @@ def test_from_obj_rejects_z_disagreeing_with_objective():
         ce.CounterexampleInstance.from_obj(record)
 
 
+@pytest.mark.parametrize("mode", [5, "5", None, True, "Standard", "custom", ["random"]])
+def test_from_obj_accepts_only_the_build_basis_modes(mode):
+    # no coercion: str(5) would load as "5" and skip the kappa check
+    record = ce.build(4, 2, 1).to_obj()
+    record["basis_mode"] = mode
+    with pytest.raises(ValueError, match="record field basis_mode="):
+        ce.CounterexampleInstance.from_obj(record)
+
+
 def test_from_obj_rejects_factor_rows_disagreeing_with_objective():
     small, big = ce.build(4, 2, 1).to_obj(), ce.build(5, 2, 1).to_obj()
     small["objective"] = big["objective"]

@@ -9,16 +9,6 @@ from bmlandscape.cli import main
 SEED = 42
 
 
-class _StubObjective:
-    """Duck-typed stand-in whose gradient is a fixed matrix."""
-
-    def __init__(self, g):
-        self.g = np.asarray(g, dtype=float)
-
-    def f_grad(self, x):
-        return self.g
-
-
 def small_config(**overrides):
     inst = ce.build(5, 3, 2)
     kwargs = dict(
@@ -63,37 +53,6 @@ def test_config_rejects_search_rank_below_instance_rank():
 def test_config_validation(field, value):
     with pytest.raises(ValueError):
         small_config(**{field: value})
-
-
-# -- single step -----------------------------------------------------------------
-
-
-def test_nesterov_step_hand_values():
-    obj = _StubObjective([[2.0]])
-    x, v = dynamics.nesterov_step(obj, [[1.0]], [[0.2]], lr=0.1, mom=0.9)
-    assert v[0, 0] == pytest.approx(-0.02, abs=1e-15)
-    assert x[0, 0] == pytest.approx(0.782, abs=1e-15)
-
-
-def test_nesterov_step_zero_momentum_is_gradient_descent():
-    obj = _StubObjective([[3.0, -1.0]])
-    x, v = dynamics.nesterov_step(obj, [[0.5, 0.5]], [[0.0, 0.0]], lr=0.2, mom=0.0)
-    assert np.allclose(x, [[0.5 - 0.6, 0.5 + 0.2]])
-    assert np.allclose(v, [[-0.6, 0.2]])
-
-
-def test_nesterov_step_fixed_point_at_stationary_zero_velocity():
-    obj = _StubObjective(np.zeros((2, 2)))
-    x0 = np.eye(2)
-    x, v = dynamics.nesterov_step(obj, x0, np.zeros((2, 2)), lr=0.1, mom=0.9)
-    assert np.array_equal(x, x0)
-    assert np.array_equal(v, np.zeros((2, 2)))
-
-
-def test_nesterov_step_shape_mismatch():
-    obj = _StubObjective(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        dynamics.nesterov_step(obj, np.zeros((2, 2)), np.zeros((3, 2)), 0.1, 0.9)
 
 
 # -- ball sampling ----------------------------------------------------------------
@@ -176,18 +135,18 @@ def test_batch_equals_solo_runs_when_trials_leave_early():
 
 def test_batch_step_equals_single_factor_api():
     # the engine's first step and objective value are the objective's
-    # batch-of-one kernels: nesterov_step (via f_grad) and f_eval agree bitwise
+    # batch-of-one kernels: a step from f_grad, and f_eval, agree bitwise
     cfg = small_config(max_iters=1)
+    lr, mom = cfg.learning_rate, cfg.momentum
     obj = cfg.instance.objective
     spur = np.hstack([cfg.instance.x_spur, np.zeros((5, 1))])
     x0 = np.stack([dynamics.sample_near(spur, cfg.radius, SEED + t) for t in range(4)])
     x_out, f_out, _, iters = dynamics._run_batch(obj, x0, cfg)
     assert np.all(iters == 1)
     for t in range(len(x0)):
-        x_solo, _ = dynamics.nesterov_step(
-            obj, x0[t], np.zeros_like(x0[t]), cfg.learning_rate, cfg.momentum
-        )
-        assert np.array_equal(x_out[t], x_solo)
+        g = obj.f_grad(x0[t])
+        v = mom * 0.0 - lr * g
+        assert np.array_equal(x_out[t], x0[t] + mom * v - lr * g)
         assert np.array_equal(f_out[t], obj.f_eval(x_out[t]))
 
 

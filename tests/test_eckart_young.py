@@ -33,24 +33,6 @@ def test_problem_validates_sorting_and_signs():
         ey.EYProblem(s=np.array([]), d=np.array([]))
 
 
-def test_from_matrices_sorts_spectra():
-    rng = np.random.default_rng(SEED)
-    g = rng.standard_normal((4, 4))
-    a = g @ g.T
-    h = rng.standard_normal((2, 2))
-    b = h @ h.T
-    p = ey.EYProblem.from_matrices(a, b)
-    assert np.all(np.diff(p.s) <= 1e-12)
-    assert np.all(np.diff(p.d) >= -1e-12)
-    assert np.allclose(p.target_matrix(), a, atol=1e-10)
-    assert np.allclose(p.penalty_matrix(), b, atol=1e-10)
-
-
-def test_from_matrices_rejects_indefinite():
-    with pytest.raises(ValueError):
-        ey.EYProblem.from_matrices(np.diag([1.0, -2.0]), np.eye(1))
-
-
 # -- closed-form solution ----------------------------------------------------------
 
 
@@ -94,18 +76,6 @@ def test_solution_value_matches_objective_evaluation():
         p = random_problem(rng)
         sol = ey.solve(p)
         assert abs(ey.objective_value(p, sol.y) - sol.value) <= 1e-9
-
-
-def test_solve_in_rotated_frames():
-    rng = np.random.default_rng(SEED + 3)
-    g = rng.standard_normal((4, 4))
-    a = g @ g.T
-    h = rng.standard_normal((2, 2))
-    b = h @ h.T
-    p = ey.EYProblem.from_matrices(a, b)
-    sol = ey.solve(p)
-    assert abs(ey.objective_value(p, sol.y) - sol.value) <= 1e-8
-    assert ey.first_order_residual(p, sol.y) <= 1e-7
 
 
 # -- brute force oracle -------------------------------------------------------------
