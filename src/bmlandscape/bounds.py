@@ -48,17 +48,16 @@ RESIDUAL_FLOOR = 1e-12  # minimal allowed ||XX^T - ZZ^T||_F
 class AlphaBeta:
     """The (alpha, beta) invariants of a factor pair.
 
-    ``z_perp`` and ``err_norm`` are populated when the invariants were
-    computed from matrices and are left at their defaults when the scalars
-    were supplied directly.  ``degenerate`` is set when ``Z_perp`` vanishes
-    identically; in that case ``alpha`` is zero and ``beta`` falls back to
-    ``lam_min(X^T X) / err_norm``.
+    ``z_perp`` is populated when the invariants were computed from matrices
+    and left at its default when the scalars were supplied directly.
+    ``degenerate`` is set when ``Z_perp`` vanishes identically; in that case
+    ``alpha`` is zero and ``beta`` falls back to
+    ``lam_min(X^T X) / ||X X^T - Z Z^T||_F``.
     """
 
     alpha: float
     beta: float
     z_perp: np.ndarray | None = None
-    err_norm: float = math.nan
     degenerate: bool = False
 
 
@@ -111,12 +110,11 @@ def alpha_beta(x, z) -> AlphaBeta:
             alpha=0.0,
             beta=lam_min / err_norm,
             z_perp=z_perp,
-            err_norm=err_norm,
             degenerate=True,
         )
     alpha = _check_unit(outer_norm / err_norm)
     beta = lam_min * float(np.trace(outer)) / (err_norm * outer_norm)
-    return AlphaBeta(alpha=alpha, beta=beta, z_perp=z_perp, err_norm=err_norm)
+    return AlphaBeta(alpha=alpha, beta=beta, z_perp=z_perp)
 
 
 def kappa_lb_closed_form(ab: AlphaBeta) -> BoundEvaluation:
@@ -271,7 +269,6 @@ def rank1_invariants(rho: float, sin_phi: float) -> AlphaBeta:
         alpha=alpha,
         beta=rho2 / err_norm,
         z_perp=z_perp,
-        err_norm=err_norm,
         degenerate=sin_phi == 0.0,
     )
 

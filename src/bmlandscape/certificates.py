@@ -20,14 +20,18 @@ and a row of ``J_X`` at most ``2r``, so the block-3 matrix
 ``J_X^T B J_X + 2 I_r (x) sym(mat(B e))`` is evaluated only at the pairs of
 ``supp J[u] x supp J[v]`` and the few diagonal-block positions of
 ``mat(B e)``: at most ``4r^2 + 2r`` upper-triangle candidates instead of
-``(nr)^2`` dense positions.  The whole system is realized in one pass, as
-five entry columns ``(var, blk, i, j, value)`` in file order; the block-5
-products ``J_X^T vec(B e)`` of all elements, and the slack products of the
-lb system, are one stacked matmul each, bitwise equal to one product per
-element.  ``export_sdpa`` writes the header and then the entry columns in
-byte slices, each rendered by ``np.char.add`` over two small byte-string
-tables, the numbers ``0..max(m, w)`` and the texts of the distinct values,
-each distinct value formatted once per file.
+``(nr)^2`` dense positions.  The block-5 products ``J_X^T vec(B e)`` of all
+elements, and the slack products of the lb system, are one stacked matmul
+each, bitwise equal to one product per element.
+
+The blocks of the H and slack coordinates come as parts
+``(blk, t, rows, cols, values)`` in any order, repeats and zeros included;
+``_in_file_order`` alone puts them in file order (by element, block and
+position, each position once) with one ``np.unique`` over integer keys.
+``export_sdpa`` writes the header, F_0 and the kappa variables in their
+fixed order, then the coordinates, in byte slices rendered by
+``np.char.add`` over two byte-string tables: the numbers ``0..max(m, w)``
+and the texts of the distinct values, each formatted once per column set.
 """
 
 from __future__ import annotations
@@ -362,14 +366,12 @@ def _write_entries(fh, var, blk, rows, cols, values) -> None:
         fh.write(b"\n".join(text.tolist()) + b"\n")
 
 
-def _paired_entries(grad: np.ndarray):
-    """``(t, i, i, value)`` of the nonzero diagonal entries of the paired
-    rows: ``grad[t]`` and ``-grad[t]`` interleaved."""
-    paired = np.empty(grad.shape[:-1] + (2 * grad.shape[-1],))
-    paired[..., 0::2] = grad
-    paired[..., 1::2] = -grad
-    t, i = np.nonzero(paired)
-    return t, i, i, paired[t, i]
+def _paired_entries(blk: int, grad: np.ndarray) -> list:
+    """Parts of the paired diagonal rows ``(grad[t], -grad[t])`` interleaved:
+    ``grad[t, i]`` at ``2i`` and ``-grad[t, i]`` at ``2i + 1``, nonzeros only."""
+    t, i = np.nonzero(grad)
+    g = grad[t, i]
+    return [(blk, t, 2 * i, 2 * i, g), (blk, t, 2 * i + 1, 2 * i + 1, -g)]
 
 
 def _stacked_products(vecs: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -383,33 +385,35 @@ def _stacked_products(vecs: np.ndarray, j: np.ndarray) -> np.ndarray:
     return (vecs[:, None, :] @ j)[:, 0, :]
 
 
-def _by_element(first_var: int, parts):
-    """Entry columns ``(var, blk, rows, cols, values)`` of per-block parts
-    ``(blk, t, rows, cols, values)`` of the variables ``first_var + t``,
-    element by element and in ``parts`` order within an element (a stable
-    sort on ``t`` interleaves them)."""
-    t = np.concatenate([p[1] for p in parts])
-    order = np.argsort(t, kind="stable")
-    blk = np.repeat([p[0] for p in parts], [p[1].size for p in parts])
-    rows, cols, values = (np.concatenate([p[k] for p in parts])[order] for k in (2, 3, 4))
-    return first_var + t[order], blk[order], rows, cols, values
+def _in_file_order(parts, size: int):
+    """Entry columns ``(var, blk, rows, cols, values)`` of the element parts
+    ``(blk, t, rows, cols, values)`` of the variables ``3 + t``, in file
+    order: by element, then block, then position, each position once.
 
-
-def _row_supports(j: np.ndarray) -> np.ndarray:
-    """Column indices of each row's nonzeros, padded to a common width.
-
-    Shorter rows are padded with some of their zero columns, which only add
-    candidates whose value is evaluated like any other.
+    Parts may come in any order and hold zero values, which are dropped, and
+    repeated positions, which must carry bitwise equal values.  Every
+    position is below ``size``, so one ``np.unique`` over the keys
+    ``((t * 8 + blk) * size + i) * size + j`` sorts and dedupes them.
     """
-    nz = j != 0.0
-    width = max(1, int(nz.sum(axis=1).max()))
-    return np.argsort(~nz, axis=1, kind="stable")[:, :width]
+    keys = np.concatenate([((t * 8 + blk) * size + i) * size + j for blk, t, i, j, _ in parts])
+    values = np.concatenate([p[4] for p in parts])
+    keep = values != 0.0
+    keys, values = keys[keep], values[keep]
+    keys, first = np.unique(keys, return_index=True)
+    values = values[first]
+    keys, cols = np.divmod(keys, size)
+    keys, rows = np.divmod(keys, size)
+    t, blk = np.divmod(keys, 8)
+    return 3 + t, blk, rows, cols, values
 
 
-def _h_coordinate_blocks(cert: CertificateSDP, supports, u: np.ndarray, v: np.ndarray):
-    """Block-3 and block-5 data of the H basis elements ``B`` at ``(u, v)``.
+def _h_coordinate_blocks(cert: CertificateSDP) -> list:
+    """Parts ``(blk, t, rows, cols, values)`` of the H coordinates over the
+    orthonormal symmetric basis ``B_t``, enumerated as index pairs ``(u, v)``,
+    ``u <= v``, of the n^2 space in lexicographic order.
 
-    Each element has at most two nonzero entries, so ``J_X^T B J_X`` is a
+    Block 1 holds ``B_t`` and block 2 ``-B_t`` at ``(u, v)``.  Each ``B_t``
+    has at most two nonzero entries, so ``J_X^T B J_X`` is a
     scaled sum of outer products of rows ``u`` and ``v`` of ``J_X`` and is
     supported on ``supp J[u] x supp J[v]`` and its transpose.  ``B e`` holds
     two scaled entries of ``e``, so ``2 I_r (x) sym(mat(B e))`` touches at
@@ -417,41 +421,39 @@ def _h_coordinate_blocks(cert: CertificateSDP, supports, u: np.ndarray, v: np.nd
     candidate positions are evaluated, with the elementwise operations of
     the dense realization: ``(o_pq + o_qp) * scale`` off the diagonal of the
     H basis, ``o_pq`` on it (``o = J[u] J[v]^T``), then
-    ``+ 2 sym(mat(B e))`` inside the diagonal blocks; values that come out
-    exactly 0.0 are dropped.  Returns
-    ``(scale, (t, rows, cols, values), grad)``: the nonzero upper-triangle
-    block-3 entries sorted by element and row-major, and the block-5
-    products ``grad[t] = J_X^T vec(B e)`` of all elements, computed by one
-    ``_stacked_products`` call.
+    ``+ 2 sym(mat(B e))`` inside the diagonal blocks; a position that is a
+    candidate more than once gets the same value each time, and zeros are
+    kept.  Block 5 pairs the products ``J_X^T vec(B_t e)`` of all elements,
+    computed by one ``_stacked_products`` call.
     """
     n, r = cert.n, cert.r
-    nr = n * r
-    k = u.size
-    diag = u == v
+    u, v = np.triu_indices(n * n)
+    k, elem, diag = u.size, np.arange(u.size), u == v
     scale = np.where(diag, 1.0, 1.0 / math.sqrt(2.0))
     vec_be = np.zeros((k, n * n))
-    vec_be[np.arange(k), u] = scale * cert.e[v]
-    vec_be[np.arange(k), v] = scale * cert.e[u]
+    vec_be[elem, u] = scale * cert.e[v]
+    vec_be[elem, v] = scale * cert.e[u]
 
-    # candidate keys t*nr^2 + p*nr + q with p <= q: the diagonal-block
-    # positions of sym(mat(B e)), and (ub) the outer-product supports
+    # candidates (p, q) with p <= q: the diagonal-block positions of
+    # sym(mat(B e)), and (ub) the outer-product supports
     offsets = n * np.arange(r)
-    cand = []
-    for w in (u, v):
-        a, b = np.divmod(w, n)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        cand.append((lo[:, None] + offsets) * nr + hi[:, None] + offsets)
+    a, b = np.divmod(np.column_stack([u, v]), n)
+    rows = [(np.minimum(a, b)[:, :, None] + offsets).reshape(k, -1)]
+    cols = [(np.maximum(a, b)[:, :, None] + offsets).reshape(k, -1)]
     if cert.which == "ub":
+        # column indices of each row's nonzeros, padded to the widest row
+        # with zero columns, which only add candidates evaluated like any other
+        nz = cert.j_x != 0.0
+        supports = np.argsort(~nz, axis=1, kind="stable")[:, : max(1, int(nz.sum(axis=1).max()))]
         su, sv = supports[u][:, :, None], supports[v][:, None, :]
-        cand.append((np.minimum(su, sv) * nr + np.maximum(su, sv)).reshape(k, -1))
-    base = np.arange(k)[:, None] * (nr * nr)
-    keys = np.sort(np.concatenate([c + base for c in cand], axis=1), axis=None, kind="stable")
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    t, pos = np.divmod(keys, nr * nr)
-    rows, cols = np.divmod(pos, nr)
+        rows.append(np.minimum(su, sv).reshape(k, -1))
+        cols.append(np.maximum(su, sv).reshape(k, -1))
+    rows, cols = np.concatenate(rows, axis=1), np.concatenate(cols, axis=1)
+    t = np.repeat(elem, rows.shape[1])
+    rows, cols = rows.ravel(), cols.ravel()
 
     if cert.which == "lb":
-        values = np.zeros(keys.size)
+        values = np.zeros(t.size)
     else:
         j, ut, vt = cert.j_x, u[t], v[t]
         o_pq = j[ut, rows] * j[vt, cols]
@@ -463,14 +465,17 @@ def _h_coordinate_blocks(cert: CertificateSDP, supports, u: np.ndarray, v: np.nd
     tb, p, q = t[in_block], rows[in_block] % n, cols[in_block] % n
     mat_t = vec_be.reshape(k, n, n)
     values[in_block] += 2.0 * (0.5 * (mat_t[tb, q, p] + mat_t[tb, p, q]))
-    nz = values != 0.0
-    grad = _stacked_products(vec_be, cert.j_x)
-    return scale, (t[nz], rows[nz], cols[nz], values[nz]), grad
+    return [
+        (1, elem, u, v, scale),
+        (2, elem, u, v, -scale),
+        (3, t, rows, cols, values),
+        *_paired_entries(5, _stacked_products(vec_be, cert.j_x)),
+    ]
 
 
 def _slack_blocks(cert: CertificateSDP) -> list:
-    """Per-block entries ``(blk, t, rows, cols, values)`` of the lb slack
-    coordinates, over the basis ``C_t`` of ``symmetric_basis(n)``.
+    """Parts ``(blk, t, rows, cols, values)`` of the lb slack coordinates,
+    over the basis ``C_t`` of ``symmetric_basis(n)``.
 
     ``C_t`` has the value ``c`` at ``(i, j)`` and ``(j, i)``, so block 3,
     ``2 I_r (x) C_t``, holds ``2c`` at ``(a n + i, a n + j)`` for each ``a``,
@@ -486,17 +491,17 @@ def _slack_blocks(cert: CertificateSDP) -> list:
     offsets = np.tile(n * np.arange(r), i.size)
     return [
         (3, t3, offsets + i[t3], offsets + j[t3], 2.0 * c[t3]),
-        (5, *_paired_entries(_stacked_products(vecs, cert.j_x))),
         (6, elem, i, j, c),
-        (7, *_paired_entries(_stacked_products(vecs, cert.j_z))),
+        *_paired_entries(5, _stacked_products(vecs, cert.j_x)),
+        *_paired_entries(7, _stacked_products(vecs, cert.j_z)),
     ]
 
 
-def _sdpa_entries(cert: CertificateSDP):
-    """Entry columns ``(var, blk, rows, cols, values)`` of the whole system in
-    file order, positions 0-based; values may be zero."""
+def _sdpa_entries(cert: CertificateSDP, size: int):
+    """The entry columns ``(var, blk, rows, cols, values)`` of F_0 and the
+    kappa variables, then those of the H (and lb slack) coordinates, each in
+    file order; positions 0-based and below ``size``, values may be zero."""
     n2 = cert.n * cert.n
-    n_h = n2 * (n2 + 1) // 2
     # F_0 (only block 1 has a right-hand side, the identity from H - I), then
     # kappa_plus (variable 1) and kappa_minus (variable 2), as pieces
     # (var, blk, rows, cols, values) with scalar var and blk
@@ -509,20 +514,15 @@ def _sdpa_entries(cert: CertificateSDP):
             pieces.append((var, 3, rows, cols, sign * (cert.j_x.T @ cert.j_x)[rows, cols]))
     pair = np.arange(2)
     pieces += [(1, 4, pair[:1], pair[:1], ones[:1]), (2, 4, pair[1:], pair[1:], ones[:1])]
-    columns = [[np.full(p[2].size, p[k]) for p in pieces] for k in (0, 1)]
-    columns += [[p[k] for p in pieces] for k in (2, 3, 4)]
+    fixed = [np.concatenate([np.full(p[2].size, p[k]) for p in pieces]) for k in (0, 1)]
+    fixed += [np.concatenate([p[k] for p in pieces]) for k in (2, 3, 4)]
 
-    # H coordinates over the orthonormal symmetric basis, enumerated as
-    # index pairs (u <= v) of the n^2 space in lexicographic order.  Within
-    # an element the entries run block 1, 2, 3, 5.
-    u, v = np.triu_indices(n2)
-    elem = np.arange(n_h)
-    scale, block3, grad = _h_coordinate_blocks(cert, _row_supports(cert.j_x), u, v)
-    parts = [(1, elem, u, v, scale), (2, elem, u, v, -scale), (3, *block3), (5, *_paired_entries(grad))]
-    tails = [_by_element(3, parts)]
+    parts = _h_coordinate_blocks(cert)
     if cert.which == "lb":
-        tails.append(_by_element(3 + n_h, _slack_blocks(cert)))
-    return tuple(np.concatenate(col + [t[k] for t in tails]) for k, col in enumerate(columns))
+        # the slack coordinates follow the n^2 (n^2 + 1) / 2 of H
+        n_h = n2 * (n2 + 1) // 2
+        parts += [(blk, n_h + t, *rest) for blk, t, *rest in _slack_blocks(cert)]
+    return fixed, _in_file_order(parts, size)
 
 
 def export_sdpa(cert: CertificateSDP, path, comments=()) -> None:
@@ -552,10 +552,10 @@ def export_sdpa(cert: CertificateSDP, path, comments=()) -> None:
     header.append(" ".join([one, minus_one] + [zero] * (m - 2)))
     head = ("\n".join(header) + "\n").encode()
 
-    entries = _sdpa_entries(cert)
     with open(path, "wb") as fh:
         fh.write(head)
-        _write_entries(fh, *entries)
+        for columns in _sdpa_entries(cert, max(abs(b) for b in block_sizes)):
+            _write_entries(fh, *columns)
 
 
 def parse_sdpa(text: str) -> dict:

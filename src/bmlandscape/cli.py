@@ -7,7 +7,8 @@ in SDPA sparse format.  All I/O goes through files so runs can be scripted
 and reproduced; there is no interactive mode.
 
 Exit codes: 0 success; 1 a verification ran and the property failed;
-2 usage or input error (malformed files report their parse location).
+2 usage or input error (malformed files report their parse location, and
+sizes too large to allocate report numpy's message).
 
 Every emitted artifact embeds a run manifest (subcommand, resolved
 parameters, paths, tool version, timestamp).  The timestamp honors
@@ -373,7 +374,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, ValueError, OSError) as exc:
+    except (InputError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,7 +43,6 @@ def test_alpha_beta_hand_case():
     assert abs(ab.alpha - 2.0 / math.sqrt(5.0)) <= 1e-12
     assert abs(ab.beta - 1.0 / math.sqrt(5.0)) <= 1e-12
     assert not ab.degenerate
-    assert abs(ab.err_norm - math.sqrt(5.0) / 2.0) <= 1e-12
 
 
 @pytest.mark.parametrize("rho,sin_phi", [(0.5, 0.3), (1.2, 0.8), (0.9, 1.0), (2.0, 0.05)])
@@ -56,7 +55,6 @@ def test_alpha_beta_agrees_with_rank1_formulas(rho, sin_phi):
     from_form = bounds.rank1_invariants(rho, sin_phi)
     assert abs(from_mats.alpha - from_form.alpha) <= 1e-12
     assert abs(from_mats.beta - from_form.beta) <= 1e-12
-    assert abs(from_mats.err_norm - from_form.err_norm) <= 1e-12
 
 
 def test_alpha_beta_rejects_identical_grams():

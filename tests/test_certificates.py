@@ -573,6 +573,9 @@ def test_sdpa_entries_realize_both_systems(tmp_path_factory, pair):
 
         keys = [(var, blk, i, j) for var, blk, i, j, _ in entries]
         assert len(keys) == len(set(keys))
+        # the coordinates' entries are in file order: by element, block, position
+        coordinates = [key for key in keys if key[0] >= 3]
+        assert all(a < b for a, b in zip(coordinates, coordinates[1:]))
         assert all(i <= j for _, blk, i, j, _ in entries if sizes[blk - 1] > 0)
         assert all(i == j for _, blk, i, j, _ in entries if sizes[blk - 1] < 0)
         assert all(value != 0.0 for *_, value in entries)

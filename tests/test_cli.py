@@ -606,6 +606,10 @@ MALFORMED_FLAGS = [
     ["export", "--instance", "{good}", "--which", "ub", "--out", "{dir}/cert.dat-s", "--comment", "hello\n7"],
     ["export", "--instance", "{good}", "--which", "lb", "--out", "{dir}/cert.dat-s", "--comment", "a\rb"],
     [], ["solve"], ["verify"], ["build", "--n", "3"],
+    # sizes whose arrays cannot be allocated fail at once, allocating nothing
+    TRIALS + ["--search-rank", "1000000000000000"],
+    TRIALS + ["--trials", "1000000000000000"],
+    ["build", "--n", "100000000", "--r", "2", "--rstar", "1"],
 ]
 
 

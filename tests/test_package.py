@@ -1,5 +1,7 @@
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -22,3 +24,23 @@ def test_public_names_are_defined_in_their_module(name):
         obj = vars(module)[attr]
         if inspect.isfunction(obj) or inspect.isclass(obj):
             assert obj.__module__ == module.__name__, f"{attr!r} is defined in {obj.__module__}"
+
+
+def test_private_functions_are_used_outside_their_own_def():
+    # a deletion can leave behind a helper that only its own body mentions;
+    # a use is a name, attribute or import of it anywhere in the package
+    source = pathlib.Path(bmlandscape.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in source.glob("*.py")]
+    used = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            used.setdefault(name, set()).add(id(node))
+    unused = [
+        fn.name
+        for tree in trees
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_") and not fn.name.startswith("__")
+        and not used.get(fn.name, set()) - {id(node) for node in ast.walk(fn)}
+    ]
+    assert unused == []
