@@ -18,11 +18,15 @@ The export touches only what can be nonzero.  A basis element ``B`` of the
 H coordinates has at most two nonzero entries, at ``(u, v)`` and ``(v, u)``,
 and a row of ``J_X`` at most ``2r``, so the block-3 matrix
 ``J_X^T B J_X + 2 I_r (x) sym(mat(B e))`` is evaluated only at the pairs of
-``supp J[u] x supp J[v]`` and the few diagonal-block positions of
-``mat(B e)``: at most ``4r^2 + 2r`` upper-triangle candidates instead of
-``(nr)^2`` dense positions.  The block-5 products ``J_X^T vec(B e)`` of all
-elements, and the slack products of the lb system, are one stacked matmul
-each, bitwise equal to one product per element.
+``supp J[u] x supp J[v]`` (ub only) and the ``2r`` diagonal-block positions
+of ``mat(B e)``: at most ``4r^2 + 2r`` upper-triangle candidates instead of
+``(nr)^2`` dense positions.  ``B e`` is zero unless the element is live
+(``e[u] != 0`` or ``e[v] != 0``), so the diagonal-block candidates, the rows
+``vec(B e)`` and their block-5 products ``J_X^T vec(B e)`` are built for the
+live elements only: 585 of the 5,050 at the standard (10, 6, 2) pair,
+every element on a dense residual.  The block-5 products, and the
+slack products of the lb system, are one stacked matmul each, bitwise equal
+to one product per element.
 
 The blocks of the H and slack coordinates come as parts
 ``(blk, t, rows, cols, values)`` in any order, repeats and zeros included;
@@ -366,11 +370,12 @@ def _write_entries(fh, var, blk, rows, cols, values) -> None:
         fh.write(b"\n".join(text.tolist()) + b"\n")
 
 
-def _paired_entries(blk: int, grad: np.ndarray) -> list:
-    """Parts of the paired diagonal rows ``(grad[t], -grad[t])`` interleaved:
-    ``grad[t, i]`` at ``2i`` and ``-grad[t, i]`` at ``2i + 1``, nonzeros only."""
-    t, i = np.nonzero(grad)
-    g = grad[t, i]
+def _paired_entries(blk: int, grad: np.ndarray, elements: np.ndarray) -> list:
+    """Parts of the paired diagonal rows ``(grad[k], -grad[k])`` of the
+    elements ``elements[k]``, interleaved: ``grad[k, i]`` at ``2i`` and
+    ``-grad[k, i]`` at ``2i + 1``, nonzeros only."""
+    k, i = np.nonzero(grad)
+    g, t = grad[k, i], elements[k]
     return [(blk, t, 2 * i, 2 * i, g), (blk, t, 2 * i + 1, 2 * i + 1, -g)]
 
 
@@ -423,54 +428,66 @@ def _h_coordinate_blocks(cert: CertificateSDP) -> list:
     H basis, ``o_pq`` on it (``o = J[u] J[v]^T``), then
     ``+ 2 sym(mat(B e))`` inside the diagonal blocks; a position that is a
     candidate more than once gets the same value each time, and zeros are
-    kept.  Block 5 pairs the products ``J_X^T vec(B_t e)`` of all elements,
-    computed by one ``_stacked_products`` call.
+    kept.
+
+    ``B e`` is zero unless the element is live: ``e[u] != 0`` or
+    ``e[v] != 0`` (``-0.0`` counts as zero).  The diagonal-block candidates,
+    the rows ``vec(B e)`` and their block-5 products ``J_X^T vec(B e)`` (one
+    ``_stacked_products`` call) are built for the live elements only; a dead
+    element's diagonal-block values are zero (lb) or repeat its outer-product
+    candidates (ub), and its products are zero, so the file is the same.
+    On a dense residual every element is live.  Block 3 comes as one part
+    per candidate set, so the large ub set is never copied into a joint
+    array.
     """
     n, r = cert.n, cert.r
     u, v = np.triu_indices(n * n)
     k, elem, diag = u.size, np.arange(u.size), u == v
     scale = np.where(diag, 1.0, 1.0 / math.sqrt(2.0))
-    vec_be = np.zeros((k, n * n))
-    vec_be[elem, u] = scale * cert.e[v]
-    vec_be[elem, v] = scale * cert.e[u]
+    nonzero = cert.e != 0.0
+    live = np.flatnonzero(nonzero[u] | nonzero[v])
+    lu, lv, ls = u[live], v[live], scale[live]
+    # row_of[t]: the row of vec(B_t e) in vec_be; the dead elements share
+    # the last row, which stays zero
+    row_of = np.full(k, live.size)
+    row_of[live] = np.arange(live.size)
+    vec_be = np.zeros((live.size + 1, n * n))
+    vec_be[row_of[live], lu] = ls * cert.e[lv]
+    vec_be[row_of[live], lv] = ls * cert.e[lu]
 
-    # candidates (p, q) with p <= q: the diagonal-block positions of
-    # sym(mat(B e)), and (ub) the outer-product supports
+    # candidate sets (t, rows, cols), positions p <= q: the diagonal-block
+    # positions of sym(mat(B e)) of the live elements, and (ub) the
+    # outer-product supports of all elements
     offsets = n * np.arange(r)
-    a, b = np.divmod(np.column_stack([u, v]), n)
-    rows = [(np.minimum(a, b)[:, :, None] + offsets).reshape(k, -1)]
-    cols = [(np.maximum(a, b)[:, :, None] + offsets).reshape(k, -1)]
+    a, b = np.divmod(np.column_stack([lu, lv]), n)
+    lo, hi = np.minimum(a, b)[:, :, None] + offsets, np.maximum(a, b)[:, :, None] + offsets
+    candidates = [(np.repeat(live, 2 * r), lo.ravel(), hi.ravel())]
     if cert.which == "ub":
         # column indices of each row's nonzeros, padded to the widest row
         # with zero columns, which only add candidates evaluated like any other
         nz = cert.j_x != 0.0
         supports = np.argsort(~nz, axis=1, kind="stable")[:, : max(1, int(nz.sum(axis=1).max()))]
         su, sv = supports[u][:, :, None], supports[v][:, None, :]
-        rows.append(np.minimum(su, sv).reshape(k, -1))
-        cols.append(np.maximum(su, sv).reshape(k, -1))
-    rows, cols = np.concatenate(rows, axis=1), np.concatenate(cols, axis=1)
-    t = np.repeat(elem, rows.shape[1])
-    rows, cols = rows.ravel(), cols.ravel()
+        t = np.repeat(elem, su.shape[1] * sv.shape[2])
+        candidates.append((t, np.minimum(su, sv).ravel(), np.maximum(su, sv).ravel()))
 
-    if cert.which == "lb":
-        values = np.zeros(t.size)
-    else:
-        j, ut, vt = cert.j_x, u[t], v[t]
-        o_pq = j[ut, rows] * j[vt, cols]
-        o_qp = j[ut, cols] * j[vt, rows]
-        values = np.where(diag[t], o_pq, (o_pq + o_qp) * scale[t])
-    # inside the diagonal blocks add 2 sym(mat(B e))[p, q]; the C-order
-    # reshape of vec(B e) is mat(B e)^T, whose symmetric part is the same
-    in_block = rows // n == cols // n
-    tb, p, q = t[in_block], rows[in_block] % n, cols[in_block] % n
-    mat_t = vec_be.reshape(k, n, n)
-    values[in_block] += 2.0 * (0.5 * (mat_t[tb, q, p] + mat_t[tb, p, q]))
-    return [
-        (1, elem, u, v, scale),
-        (2, elem, u, v, -scale),
-        (3, t, rows, cols, values),
-        *_paired_entries(5, _stacked_products(vec_be, cert.j_x)),
-    ]
+    parts = [(1, elem, u, v, scale), (2, elem, u, v, -scale)]
+    mat_t = vec_be.reshape(-1, n, n)
+    for t, rows, cols in candidates:
+        if cert.which == "lb":
+            values = np.zeros(t.size)
+        else:
+            j, ut, vt = cert.j_x, u[t], v[t]
+            o_pq = j[ut, rows] * j[vt, cols]
+            o_qp = j[ut, cols] * j[vt, rows]
+            values = np.where(diag[t], o_pq, (o_pq + o_qp) * scale[t])
+        # inside the diagonal blocks add 2 sym(mat(B e))[p, q]; the C-order
+        # reshape of vec(B e) is mat(B e)^T, whose symmetric part is the same
+        in_block = rows // n == cols // n
+        tb, p, q = row_of[t[in_block]], rows[in_block] % n, cols[in_block] % n
+        values[in_block] += 2.0 * (0.5 * (mat_t[tb, q, p] + mat_t[tb, p, q]))
+        parts.append((3, t, rows, cols, values))
+    return parts + _paired_entries(5, _stacked_products(vec_be[:-1], cert.j_x), live)
 
 
 def _slack_blocks(cert: CertificateSDP) -> list:
@@ -492,8 +509,8 @@ def _slack_blocks(cert: CertificateSDP) -> list:
     return [
         (3, t3, offsets + i[t3], offsets + j[t3], 2.0 * c[t3]),
         (6, elem, i, j, c),
-        *_paired_entries(5, _stacked_products(vecs, cert.j_x)),
-        *_paired_entries(7, _stacked_products(vecs, cert.j_z)),
+        *_paired_entries(5, _stacked_products(vecs, cert.j_x), elem),
+        *_paired_entries(7, _stacked_products(vecs, cert.j_z), elem),
     ]
 
 

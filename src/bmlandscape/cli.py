@@ -8,7 +8,8 @@ and reproduced; there is no interactive mode.
 
 Exit codes: 0 success; 1 a verification ran and the property failed;
 2 usage or input error (malformed files report their parse location, and
-sizes too large to allocate report numpy's message).
+sizes too large to allocate report the subcommand's size flags with numpy's
+message).
 
 Every emitted artifact embeds a run manifest (subcommand, resolved
 parameters, paths, tool version, timestamp).  The timestamp honors
@@ -40,6 +41,17 @@ __all__ = ["main"]
 
 # relative tolerance of verify's check of the record's kappa against L/mu
 KAPPA_RTOL = 1e-9
+
+# the flags that set the array sizes of each subcommand, named with their
+# values when an array cannot be allocated
+SIZE_FLAGS = {
+    "build": ("--n", "--r", "--rstar"),
+    "verify": ("--instance",),
+    "bounds": ("--instance",),
+    "trials": ("--search-rank", "--trials"),
+    "ey": ("--s", "--d"),
+    "export": ("--instance",),
+}
 
 
 class InputError(Exception):
@@ -374,7 +386,15 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, ValueError, OSError, MemoryError) as exc:
+    except MemoryError as exc:
+        sizes = " ".join(
+            f"{flag} {value}"
+            for flag in SIZE_FLAGS[args.command]
+            if (value := getattr(args, flag[2:].replace("-", "_"))) is not None
+        )
+        print(f"error: {args.command} {sizes}: {exc}", file=sys.stderr)
+        return 2
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -191,9 +191,9 @@ def _orthonormal_frame(n: int, mode: str, seed: int) -> np.ndarray:
 
 def _measurement_stack(n: int, q: int, kappa: float, u: np.ndarray) -> np.ndarray:
     """All n^2 rank-structured measurement matrices of the family."""
-    outer = [np.outer(u[:, i], u[:, j]) for i in range(n) for j in range(n)]
-    outer = np.asarray(outer).reshape(n, n, n, n)
-    stack = np.sqrt(kappa) * outer.reshape(n * n, n, n).copy()
+    # outer[i, j] = np.outer(u[:, i], u[:, j]), one multiply per entry
+    outer = u.T[:, None, :, None] * u.T[None, :, None, :]
+    stack = np.sqrt(kappa) * outer.reshape(n * n, n, n)
 
     def at(i, j):
         return i * n + j

@@ -289,10 +289,10 @@ class QuadraticObjective:
     def from_obj(cls, obj: dict) -> "QuadraticObjective":
         try:
             z = serialize.matrix_from_lists(obj["Z"])
-            meas = [serialize.matrix_from_lists(a) for a in obj["measurements"]]
+            meas = np.asarray(obj["measurements"], dtype=float)
         except KeyError as exc:
             raise ValueError(f"objective record is missing field {exc}") from exc
-        inst = cls(np.stack(meas), z)
+        inst = cls(meas, z)
         if inst.n != int(obj["n"]) or inst.r_star != int(obj["r_star"]):
             raise ValueError("objective record dimensions are inconsistent")
         return inst

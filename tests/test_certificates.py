@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import io
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -254,6 +256,34 @@ def test_sdpa_bytes_pinned(tmp_path, dims, basis_seed, which):
     cert = certs.assemble(inst.x_spur, inst.z, which)
     digest = hashlib.sha256(sdpa_text(cert, tmp_path).encode()).hexdigest()
     assert digest == SDPA_SHA256[(dims, basis_seed, which)]
+
+
+@pytest.mark.parametrize("which", ["ub", "lb"])
+def test_export_sdpa_peak_memory_is_capped(tmp_path, which):
+    # at the standard (10, 6, 2) pair few of the 5,050 H elements are live;
+    # building vec(B e) and diagonal-block candidates for every element
+    # peaked at 14.2 MB (ub) and 10.8 MB (lb)
+    inst = ce.build(10, 6, 2)
+    cert = certs.assemble(inst.x_spur, inst.z, which)
+    tracemalloc.start()
+    try:
+        certs.export_sdpa(cert, tmp_path / "system.dat-s")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
+@pytest.mark.parametrize("which", ["ub", "lb"])
+def test_negative_zero_residual_entries_export_the_same_bytes(tmp_path, which):
+    # -0.0 counts as zero: it leaves an element dead, as +0.0 does
+    inst = ce.build(5, 3, 2)
+    cert = certs.assemble(inst.x_spur, inst.z, which)
+    e = cert.e.copy()
+    e[e == 0.0] = -0.0
+    assert np.signbit(e).any() and not np.signbit(cert.e[cert.e == 0.0]).any()
+    flipped = dataclasses.replace(cert, e=e)
+    assert sdpa_text(flipped, tmp_path) == sdpa_text(cert, tmp_path)
 
 
 def test_export_sdpa_byte_identical(tmp_path):

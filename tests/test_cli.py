@@ -324,6 +324,33 @@ def test_record_build_could_not_write_is_input_error(capsys, tmp_path, command, 
     assert not (tmp_path / "cert.dat-s").exists()
 
 
+# measurement stacks that do not parse to one (m, n, n) array of numbers
+MALFORMED_STACKS = {
+    "ragged-row": lambda m: [[m[0][0], m[0][1][:-1], *m[0][2:]], *m[1:]],
+    "mixed-shapes": lambda m: [[row[:2] for row in m[0][:2]], *m[1:]],
+    "2-d": lambda m: m[0],
+    "4-d": lambda m: [m],
+    "empty": lambda m: [],
+    "string-entry": lambda m: [[m[0][0], [m[0][1][0], "x", *m[0][1][2:]], *m[0][2:]], *m[1:]],
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "export"])
+@pytest.mark.parametrize("case", list(MALFORMED_STACKS))
+def test_malformed_measurement_stack_is_input_error(capsys, tmp_path, command, case):
+    path = build_instance(capsys, tmp_path)
+    record = json.loads(path.read_text())
+    objective = record["objective"]
+    objective["measurements"] = MALFORMED_STACKS[case](objective["measurements"])
+    path.write_text(json.dumps(record))
+    rc, out, err = run(capsys, *instance_subcommand(command, path, tmp_path))
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "cert.dat-s").exists()
+
+
 # -- bounds ------------------------------------------------------------------
 
 
@@ -606,11 +633,15 @@ MALFORMED_FLAGS = [
     ["export", "--instance", "{good}", "--which", "ub", "--out", "{dir}/cert.dat-s", "--comment", "hello\n7"],
     ["export", "--instance", "{good}", "--which", "lb", "--out", "{dir}/cert.dat-s", "--comment", "a\rb"],
     [], ["solve"], ["verify"], ["build", "--n", "3"],
-    # sizes whose arrays cannot be allocated fail at once, allocating nothing
-    TRIALS + ["--search-rank", "1000000000000000"],
-    TRIALS + ["--trials", "1000000000000000"],
-    ["build", "--n", "100000000", "--r", "2", "--rstar", "1"],
 ]
+# sizes whose arrays cannot be allocated fail at once, allocating nothing;
+# the error line names the subcommand's size flags with their values
+OVERSIZED = [
+    (TRIALS + ["--search-rank", "1000000000000000"], "error: trials --search-rank 1000000000000000 --trials 2: "),
+    (TRIALS + ["--trials", "1000000000000000"], "error: trials --search-rank 2 --trials 1000000000000000: "),
+    (["build", "--n", "100000000", "--r", "2", "--rstar", "1"], "error: build --n 100000000 --r 2 --rstar 1: "),
+]
+MALFORMED_FLAGS += [argv for argv, _ in OVERSIZED]
 
 
 @st.composite
@@ -636,7 +667,7 @@ def malformed_flags(draw):
 
 def _run_malformed(argv, text=None):
     """Run the CLI on *argv*, where {bad} names a file of *text*; check it
-    exits 2 with an error line, no traceback, and no output."""
+    exits 2 with an error line, no traceback, and no output; return stderr."""
     with tempfile.TemporaryDirectory() as work:
         good, bad = os.path.join(work, "good.json"), os.path.join(work, "bad.json")
         with open(good, "w", encoding="utf-8") as fh:
@@ -656,6 +687,7 @@ def _run_malformed(argv, text=None):
     assert "error:" in err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert out.getvalue() == "" and not wrote
+    return err.getvalue()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -675,6 +707,12 @@ def test_malformed_instance_file_exits_2(command, text):
 @pytest.mark.parametrize("argv", MALFORMED_FLAGS)
 def test_listed_malformed_flags_exit_2(argv):
     _run_malformed(argv)
+
+
+@pytest.mark.parametrize("argv,prefix", OVERSIZED, ids=["search-rank", "trials", "build-n"])
+def test_oversized_flags_are_named_in_the_error(argv, prefix):
+    err = _run_malformed(argv)
+    assert err.startswith(prefix) and "Unable to allocate" in err
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from dataclasses import fields
 
@@ -175,6 +176,46 @@ def test_instance_record_bytes_pinned(dims, basis_seed):
         inst = ce.build(*dims, basis_mode="random", seed=basis_seed)
     digest = hashlib.sha256(serialize.dumps(inst.to_obj()).encode()).hexdigest()
     assert digest == RECORD_SHA256[(dims, basis_seed)]
+
+
+def _per_pair_stack(n, q, kappa, u):
+    """The measurement stack built with one np.outer per pair (i, j)."""
+    outer = [np.outer(u[:, i], u[:, j]) for i in range(n) for j in range(n)]
+    outer = np.asarray(outer).reshape(n, n, n, n)
+    stack = np.sqrt(kappa) * outer.reshape(n * n, n, n).copy()
+    a00 = np.sqrt(kappa / 2.0) * outer[0, 0]
+    for i in range(1, q + 1):
+        a00 += np.sqrt(kappa / (2.0 * q)) * outer[i, i]
+    stack[0] = a00
+    a11 = outer[0, 0] / np.sqrt(2.0)
+    for i in range(1, q + 1):
+        a11 -= outer[i, i] / np.sqrt(2.0 * q)
+    stack[n + 1] = a11
+    for i in range(2, q + 1):
+        p = q - i + 1
+        aii = np.sqrt(p / (p + 1.0)) * outer[i - 1, i - 1]
+        for j in range(p):
+            aii -= outer[i + j, i + j] / np.sqrt(p * (p + 1.0))
+        stack[i * n + i] = aii
+    return stack
+
+
+@pytest.mark.parametrize("basis_mode", ["standard", "random"])
+def test_measurement_stack_matches_per_pair_outer_products(basis_mode):
+    # every (n, r, r*) with n <= 8; the random bases are seeded per triple
+    for n in range(2, 9):
+        for r in range(1, n):
+            for rs in range(1, r + 1):
+                seed = 1000 * n + 10 * r + rs
+                inst = ce.build(n, r, rs, basis_mode=basis_mode, seed=seed)
+                q = r - rs + 1
+                expected = _per_pair_stack(n, q, inst.kappa, inst.basis)
+                stack = ce._measurement_stack(n, q, inst.kappa, inst.basis)
+                assert stack.tobytes() == expected.tobytes(), (n, r, rs)
+                assert inst.objective.measurements.tobytes() == expected.tobytes()
+                record = json.loads(serialize.dumps(inst.to_obj()))
+                loaded = ce.CounterexampleInstance.from_obj(record)
+                assert loaded.objective.measurements.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("delta", [-1, 1])
