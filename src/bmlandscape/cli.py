@@ -42,17 +42,6 @@ __all__ = ["main"]
 # relative tolerance of verify's check of the record's kappa against L/mu
 KAPPA_RTOL = 1e-9
 
-# the flags that set the array sizes of each subcommand, named with their
-# values when an array cannot be allocated
-SIZE_FLAGS = {
-    "build": ("--n", "--r", "--rstar"),
-    "verify": ("--instance",),
-    "bounds": ("--instance",),
-    "trials": ("--search-rank", "--trials"),
-    "ey": ("--s", "--d"),
-    "export": ("--instance",),
-}
-
 
 class InputError(Exception):
     """A problem with user-supplied files or flag values (exit code 2)."""
@@ -330,13 +319,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", choices=("standard", "random"), default="standard")
     p.add_argument("--seed", type=int, default=0, help="basis seed (random mode)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(handler=_cmd_build)
+    p.set_defaults(handler=_cmd_build, size_flags=("--n", "--r", "--rstar"))
 
     p = sub.add_parser("verify", help="check the spurious second-order point")
     p.add_argument("--instance", required=True)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler=_cmd_verify, size_flags=("--instance",))
 
     p = sub.add_parser("bounds", help="condition-number bounds from (alpha, beta)")
     p.add_argument("--instance", default=None)
@@ -345,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--rstar", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_bounds)
+    p.set_defaults(handler=_cmd_bounds, size_flags=("--instance",))
 
     p = sub.add_parser("trials", help="run the escape experiment")
     p.add_argument("--instance", required=True)
@@ -360,21 +349,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stuck-tol", type=float, default=0.1)
     p.add_argument("--csv", default=None, help="per-trial CSV path (default stdout)")
     p.add_argument("--summary", default=None, help="aggregate JSON path")
-    p.set_defaults(handler=_cmd_trials)
+    p.set_defaults(handler=_cmd_trials, size_flags=("--search-rank", "--trials"))
 
     p = sub.add_parser("ey", help="regularized low-rank approximation in spectral form")
     p.add_argument("--s", required=True, help="target spectrum, descending (e.g. 3,2,1)")
     p.add_argument("--d", required=True, help="penalty spectrum, ascending (e.g. 0.5,1.5)")
     p.add_argument("--brute-force", action="store_true", help="cross-check by enumeration")
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_ey)
+    p.set_defaults(handler=_cmd_ey, size_flags=("--s", "--d"))
 
     p = sub.add_parser("export", help="write a certificate program in SDPA sparse format")
     p.add_argument("--instance", required=True)
     p.add_argument("--which", choices=("ub", "lb"), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--comment", action="append", help="extra comment line (repeatable)")
-    p.set_defaults(handler=_cmd_export)
+    p.set_defaults(handler=_cmd_export, size_flags=("--instance",))
 
     return parser
 
@@ -387,9 +376,10 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except MemoryError as exc:
+        # name the flags that set the array sizes, with their values
         sizes = " ".join(
             f"{flag} {value}"
-            for flag in SIZE_FLAGS[args.command]
+            for flag in args.size_flags
             if (value := getattr(args, flag[2:].replace("-", "_"))) is not None
         )
         print(f"error: {args.command} {sizes}: {exc}", file=sys.stderr)
