@@ -138,6 +138,29 @@ def test_verify_lb_validation():
         certs.verify_lb(cert, inst.kappa, h, np.zeros(7))
 
 
+def test_verify_residuals_pinned():
+    # names, order and exact bits of both checks on the built (5, 3, 2) pair
+    inst, h = instance_with_gram(5, 3, 2)
+    ub = certs.verify_ub(certs.assemble(inst.x_spur, inst.z, "ub"), inst.kappa, h)
+    lb = certs.verify_lb(
+        certs.assemble(inst.x_spur, inst.z, "lb"), inst.kappa, h, np.zeros(25)
+    )
+    assert [(k, float(v).hex()) for k, v in ub.residuals.items()] == [
+        ("h_minus_identity", "-0x1.0000000000000p-52"),
+        ("kappa_identity_minus_h", "-0x1.0000000000000p-50"),
+        ("gradient_orthogonality", "0x1.1517a7bdb3894p-51"),
+        ("hessian_lmi", "-0x1.8be33112d2166p-50"),
+    ]
+    assert [(k, float(v).hex()) for k, v in lb.residuals.items()] == [
+        ("h_minus_identity", "-0x1.0000000000000p-52"),
+        ("kappa_identity_minus_h", "-0x1.0000000000000p-50"),
+        ("slack_psd", "0x0.0p+0"),
+        ("slack_truth_orthogonality", "0x0.0p+0"),
+        ("gradient_orthogonality", "0x1.1517a7bdb3894p-51"),
+        ("hessian_lmi", "-0x1.0000000000000p-50"),
+    ]
+
+
 def test_feasibility_report_sign_conventions():
     # norm-type residuals fail when above tol, eigenvalue-type below -tol
     rep = certs.FeasibilityReport(
