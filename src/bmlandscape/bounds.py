@@ -34,7 +34,6 @@ __all__ = [
     "valid_inequality",
     "minab",
     "cos_theta_lb",
-    "tradeoff_max",
     "rank1_invariants",
     "thresholds",
     "sufficient_rank",
@@ -81,6 +80,11 @@ def _check_unit(alpha: float) -> float:
     return min(float(alpha), 1.0)
 
 
+def _check_ranks(r: int, r_star: int) -> None:
+    if not r >= r_star >= 1:
+        raise ValueError(f"need r >= r_star >= 1, got r={r}, r_star={r_star}")
+
+
 def alpha_beta(x, z) -> AlphaBeta:
     """Geometric invariants of a factor pair (X, Z)."""
     x = as_factor(x)
@@ -122,6 +126,9 @@ def kappa_lb_closed_form(ab: AlphaBeta) -> BoundEvaluation:
 
     Two-case closed form: ``(1 + s)/(1 - s)`` with ``s = sqrt(1 - alpha^2)``
     when ``beta >= alpha/(1 + s)``, else ``(1 - alpha*beta)/((alpha - beta)*beta)``.
+    It is the maximum of ``(1 + c(t))/(2t + 1 - c(t))`` over ``0 <= t <= alpha*beta``
+    (``c =`` :func:`cos_theta_lb`), attained at ``t_opt``, and equals
+    ``(1 + gamma)/(1 - gamma)`` with :func:`gamma`.
     A degenerate pair (``Z_perp = 0``) certifies nothing finite and yields an
     infinite sentinel; near-degenerate pairs flow through the same formulas
     to a finite but enormous bound.  A non-finite ``beta`` is rejected.
@@ -176,8 +183,7 @@ def valid_inequality(ab: AlphaBeta, r: int, r_star: int) -> tuple[bool, float]:
     ``alpha^2 + (r/r_star) * min(alpha^2, beta^2) <= 1``.  Returns the flag
     and the slack ``1 - alpha^2 - (r/r_star) * min(alpha^2, beta^2)``.
     """
-    if not r >= r_star >= 1:
-        raise ValueError(f"need r >= r_star >= 1, got r={r}, r_star={r_star}")
+    _check_ranks(r, r_star)
     a2 = ab.alpha * ab.alpha
     b2 = ab.beta * ab.beta
     slack = 1.0 - a2 - (r / r_star) * min(a2, b2)
@@ -190,8 +196,7 @@ def minab(r: int, r_star: int) -> float:
     Feeds the sufficiency threshold: condition numbers below
     ``(1 + minab)/(1 - minab) = 1 + 2 sqrt(r/r_star)`` admit no stuck pair.
     """
-    if not r >= r_star >= 1:
-        raise ValueError(f"need r >= r_star >= 1, got r={r}, r_star={r_star}")
+    _check_ranks(r, r_star)
     return 1.0 / (1.0 + math.sqrt(r_star / r))
 
 
@@ -216,38 +221,6 @@ def _t_opt_second(alpha: float, beta: float) -> float:
         beta * math.sqrt(max(0.0, 1.0 - alpha * alpha)) / (1.0 - alpha * beta)
     )
     return max(0.0, beta * math.sin(theta - phi))
-
-
-def tradeoff_max(alpha: float, beta: float) -> BoundEvaluation:
-    """Best witness-parameter tradeoff: max of (1 + c(t))/(2t + 1 - c(t)).
-
-    The maximum over ``t in [0, alpha*beta]`` of the ratio built from
-    :func:`cos_theta_lb` has a two-case closed form that coincides with
-    :func:`kappa_lb_closed_form`; the first branch attains it at ``t = 0``,
-    the second at an interior ``t_opt``.  ``alpha = 1`` is accepted by the
-    limiting convention ``t_opt = beta`` with value ``1/beta``, matching the
-    closed form's second branch.
-    """
-    alpha = _check_unit(alpha)
-    if beta < 0.0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
-    if alpha == 0.0:
-        return BoundEvaluation(
-            kappa_lb=math.inf, branch="first", t_opt=0.0, gamma_value=1.0
-        )
-    # The second branch implies beta < alpha <= 1, so gamma is defined everywhere.
-    gamma_value = gamma(alpha, beta)
-    value = math.inf if gamma_value >= 1.0 else (1.0 + gamma_value) / (1.0 - gamma_value)
-    if _branch_is_first(alpha, beta):
-        return BoundEvaluation(
-            kappa_lb=value, branch="first", t_opt=0.0, gamma_value=gamma_value
-        )
-    return BoundEvaluation(
-        kappa_lb=value,
-        branch="second",
-        t_opt=_t_opt_second(alpha, beta),
-        gamma_value=gamma_value,
-    )
 
 
 def rank1_invariants(rho: float, sin_phi: float) -> AlphaBeta:
@@ -279,8 +252,7 @@ def thresholds(r: int, r_star: int) -> tuple[float, float]:
     Below ``1 + 2 sqrt(r/r_star)`` every second-order point is global; at
     ``1 + 2 sqrt(r - r_star + 1)`` an explicit stuck instance exists.
     """
-    if not r >= r_star >= 1:
-        raise ValueError(f"need r >= r_star >= 1, got r={r}, r_star={r_star}")
+    _check_ranks(r, r_star)
     return 1.0 + 2.0 * math.sqrt(r / r_star), 1.0 + 2.0 * math.sqrt(r - r_star + 1.0)
 
 

@@ -131,15 +131,6 @@ class FeasibilityReport:
                 return False
         return True
 
-    def to_obj(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "which": self.which,
-            "tol": self.tol,
-            "residuals": dict(self.residuals),
-            "feasible": self.feasible,
-        }
-
 
 def assemble(x, z, which: str) -> CertificateSDP:
     """Realize the data matrices of the ub or lb system at (X, Z)."""
@@ -187,21 +178,28 @@ def _check_h(h, n: int) -> np.ndarray:
     return h
 
 
+def _h_residuals(cert: CertificateSDP, kappa: float, h) -> tuple[np.ndarray, dict]:
+    """The checked H and the residuals of ``I <= H <= kappa*I`` (both systems)."""
+    if kappa < 1.0:
+        raise ValueError(f"kappa must be at least 1, got {kappa}")
+    h = _check_h(h, cert.n)
+    eigs, _ = sym_eig(h)
+    return h, {
+        "h_minus_identity": float(eigs[-1]) - 1.0,
+        "kappa_identity_minus_h": float(kappa) - float(eigs[0]),
+    }
+
+
 def verify_ub(cert: CertificateSDP, kappa: float, h, tol: float = DEFAULT_TOL) -> FeasibilityReport:
     """Check (kappa, H) against the ub system; returns all four residuals.
 
     ``mat(H e)`` enters the matrix inequality only through its symmetric
     part (the quadratic form cannot see more), so that part is used here.
     """
-    if kappa < 1.0:
-        raise ValueError(f"kappa must be at least 1, got {kappa}")
-    h = _check_h(h, cert.n)
-    eigs, _ = sym_eig(h)
+    h, residuals = _h_residuals(cert, kappa, h)
     s_he = as_symmetric(unvec(h @ cert.e, cert.n))
     lmi = cert.j_x.T @ h @ cert.j_x + 2.0 * np.kron(np.eye(cert.r), s_he)
-    residuals = {
-        "h_minus_identity": float(eigs[-1]) - 1.0,
-        "kappa_identity_minus_h": float(kappa) - float(eigs[0]),
+    residuals |= {
         "gradient_orthogonality": float(np.linalg.norm(cert.j_x.T @ (h @ cert.e))),
         "hessian_lmi": _min_eig(lmi),
     }
@@ -212,19 +210,14 @@ def verify_lb(
     cert: CertificateSDP, kappa: float, h, s, tol: float = DEFAULT_TOL
 ) -> FeasibilityReport:
     """Check (kappa, H, s) against the lb system's five constraint groups."""
-    if kappa < 1.0:
-        raise ValueError(f"kappa must be at least 1, got {kappa}")
-    h = _check_h(h, cert.n)
+    h, residuals = _h_residuals(cert, kappa, h)
     s = np.asarray(s, dtype=float).reshape(-1)
     if s.size != cert.n * cert.n:
         raise ValueError(f"slack must have length {cert.n * cert.n}, got {s.size}")
-    eigs, _ = sym_eig(h)
     combined = h @ cert.e + s
     s_comb = as_symmetric(unvec(combined, cert.n))
     lmi = kappa * (cert.j_x.T @ cert.j_x) + 2.0 * np.kron(np.eye(cert.r), s_comb)
-    residuals = {
-        "h_minus_identity": float(eigs[-1]) - 1.0,
-        "kappa_identity_minus_h": float(kappa) - float(eigs[0]),
+    residuals |= {
         "slack_psd": _min_eig(unvec(s, cert.n)),
         "slack_truth_orthogonality": float(np.linalg.norm(cert.j_z.T @ s)),
         "gradient_orthogonality": float(np.linalg.norm(cert.j_x.T @ combined)),
@@ -287,15 +280,12 @@ def cos_theta_witness(x, z, tau: float, tol: float = DEFAULT_TOL):
         if e2_norm == 0.0:
             raise ValueError("tau > 0 requires Z to leave the range of X")
         gamma2 = tau / (e_norm * e2_norm)
-        v_min = gram_vecs[:, -1]
-        for i in range(z.shape[1]):
-            col = vec(np.outer(z_perp[:, i], v_min))
-            w += gamma2 * np.outer(col, col)
+        # column i is vec(z_perp[:, i] v_min^T)
+        cols = np.kron(gram_vecs[:, -1:], z_perp)
+        w = gamma2 * (cols @ cols.T)
 
-    ptrace = np.zeros((n, n))
-    for a in range(r):
-        ptrace += w[a * n : (a + 1) * n, a * n : (a + 1) * n]
-    f = j @ y - vec(ptrace)
+    # partial trace: the sum of the r diagonal n x n blocks of W
+    f = j @ y - vec(np.trace(w.reshape(r, n, r, n), axis1=0, axis2=2))
 
     objective = float(e @ f)
     expected = math.sqrt(max(0.0, 1.0 - tau * tau)) * math.sqrt(

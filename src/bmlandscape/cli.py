@@ -81,7 +81,9 @@ def _load_instance(path: str) -> counterexample.CounterexampleInstance:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return counterexample.CounterexampleInstance.from_obj(obj)
-    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+    except KeyError as exc:
+        raise InputError(f"{path}: record is missing field {exc}") from exc
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 

@@ -117,8 +117,9 @@ class CounterexampleInstance:
         exactly the construction's ``kappa = 1 + 2 sqrt(q)``; checking the
         claim against the spectrum of the objective would take an
         eigensolver call at every load, so the CLI's ``verify`` makes that
-        check instead.  ``seed`` must be a JSON integer and ``kappa`` a JSON
-        number; none of the three is coerced.
+        check instead.  ``seed``, ``n``, ``r``, ``r_star`` and ``q`` must be
+        JSON integers, ``kappa`` a JSON number and the matrices' entries
+        JSON numbers; none of them is coerced.
         """
         if not isinstance(obj, dict) or obj.get("kind") != "counterexample":
             raise ValueError("record is not a counterexample instance")
@@ -127,8 +128,9 @@ class CounterexampleInstance:
             raise ValueError(
                 f"record field basis_mode={mode!r} is not 'standard' or 'random'"
             )
-        if type(seed) is not int:
-            raise ValueError(f"record field seed={seed!r} is not an integer")
+        for name in ("seed", "n", "r", "r_star", "q"):
+            if type(obj[name]) is not int:
+                raise ValueError(f"record field {name}={obj[name]!r} is not an integer")
         if type(kappa) not in (int, float):
             raise ValueError(f"record field kappa={kappa!r} is not a number")
         factors = {}

@@ -127,7 +127,6 @@ class TrialReport:
     successes: int
     stuck: int
     undetermined: int
-    rng: str = RNG_SPEC
 
     @property
     def total(self) -> int:
@@ -157,7 +156,7 @@ class TrialReport:
             "successes": self.successes,
             "stuck": self.stuck,
             "undetermined": self.undetermined,
-            "rng": self.rng,
+            "rng": RNG_SPEC,
         }
 
 

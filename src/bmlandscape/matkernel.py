@@ -74,16 +74,14 @@ def pinv(a) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with an explicit rank cutoff.
 
     Singular values at or below ``PINV_TOL_SCALE * max(rows, cols)`` times the
-    largest singular value are treated as zero.  The zero matrix maps to the
-    zero matrix.
+    largest singular value are treated as zero, so the zero matrix maps to
+    the zero matrix.
     """
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError("pinv expects a 2-d array")
     if not np.all(np.isfinite(m)):
         raise ValueError("pinv input must be finite")
-    if not m.any():
-        return np.zeros((m.shape[1], m.shape[0]))
     return np.linalg.pinv(m, rcond=PINV_TOL_SCALE * max(m.shape))
 
 

@@ -110,7 +110,6 @@ class QuadraticObjective:
         self.m_star = m_star
         self._m_star_stack = m_star[None]
         self._gram_sym = None
-        self._bounds = None
 
     # -- batched kernels -------------------------------------------------
     #
@@ -182,16 +181,14 @@ class QuadraticObjective:
 
     def smoothness_bounds(self) -> tuple[float, float]:
         """Extreme curvatures (mu, L) of phi over symmetric matrices."""
-        if self._bounds is None:
-            basis = symmetric_basis(self.n).reshape(-1, self.n * self.n)
-            w, _ = sym_eig(basis @ self.gram_symmetric @ basis.T)
-            mu, big = float(w[-1]), float(w[0])
-            if mu <= 1e-12:
-                raise ValueError(
-                    "measurement set does not induce positive-definite curvature"
-                )
-            self._bounds = (mu, big)
-        return self._bounds
+        basis = symmetric_basis(self.n).reshape(-1, self.n * self.n)
+        w, _ = sym_eig(basis @ self.gram_symmetric @ basis.T)
+        mu, big = float(w[-1]), float(w[0])
+        if mu <= 1e-12:
+            raise ValueError(
+                "measurement set does not induce positive-definite curvature"
+            )
+        return mu, big
 
     # -- factored-space evaluations --------------------------------------
 
@@ -287,12 +284,14 @@ class QuadraticObjective:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "QuadraticObjective":
-        try:
-            z = serialize.matrix_from_lists(obj["Z"])
-            meas = np.asarray(obj["measurements"], dtype=float)
-        except KeyError as exc:
-            raise ValueError(f"objective record is missing field {exc}") from exc
-        inst = cls(meas, z)
-        if inst.n != int(obj["n"]) or inst.r_star != int(obj["r_star"]):
-            raise ValueError("objective record dimensions are inconsistent")
+        meas = np.asarray(obj["measurements"])
+        if meas.dtype.kind not in "iuf":
+            raise ValueError("measurement entries must be JSON numbers")
+        inst = cls(meas, serialize.matrix_from_lists(obj["Z"]))
+        for name in ("n", "r_star"):
+            if type(obj[name]) is not int or obj[name] != getattr(inst, name):
+                raise ValueError(
+                    f"objective field {name}={obj[name]!r} is not the integer "
+                    f"{getattr(inst, name)} of its matrices"
+                )
         return inst

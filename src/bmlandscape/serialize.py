@@ -50,12 +50,8 @@ def _emit(obj: Any, out: list, indent: int, level: int) -> None:
     closing = " " * (indent * level)
     if obj is None:
         out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
+    elif isinstance(obj, (int, float, np.bool_, np.integer, np.floating)):
+        out.append(_scalar(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
@@ -133,9 +129,11 @@ def matrix_to_lists(m: np.ndarray) -> list:
 
 
 def matrix_from_lists(rows: list) -> np.ndarray:
-    a = np.asarray(rows, dtype=float)
+    a = np.asarray(rows)
+    if a.dtype.kind not in "iuf":
+        raise ValueError("matrix entries must be JSON numbers")
     if a.ndim != 2:
         raise ValueError("expected nested lists forming a matrix")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    return a
+    return a.astype(float, copy=False)

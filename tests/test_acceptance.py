@@ -201,21 +201,46 @@ def test_criterion_06_alignment_inequality_on_random_pairs():
     _report("06", ok, f"1000 random pairs: min slack {worst:.2e}")
 
 
+def _golden_section_max(f, lo, hi, iters=60):
+    """Maximum of a quasi-concave f on [lo, hi], both endpoints included."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    return max(f(lo), f(hi), fc, fd)
+
+
 def test_criterion_07_closed_form_bound_and_feasibility_minimum():
-    # closed form vs. the numeric witness-parameter maximization
-    worst_gap = 0.0
+    # closed form vs. the numeric witness-parameter maximization: the ratio
+    # (1 + c(t))/(2t + 1 - c(t)) has a concave numerator and a convex,
+    # positive denominator on [0, alpha*beta], so it is quasi-concave and a
+    # golden-section search finds its one maximum
+    devs = []
     for a in np.linspace(0.02, 1.0, 50):
         for b in np.linspace(0.02, 1.0, 50):
-            direct = bounds.kappa_lb_closed_form(
-                bounds.AlphaBeta(alpha=float(a), beta=float(b))
-            )
-            traded = bounds.tradeoff_max(float(a), float(b))
-            if math.isinf(direct.kappa_lb) or math.isinf(traded.kappa_lb):
-                ok_pair = math.isinf(direct.kappa_lb) == math.isinf(traded.kappa_lb)
-                worst_gap = worst_gap if ok_pair else math.inf
-            else:
-                worst_gap = max(worst_gap, abs(direct.kappa_lb - traded.kappa_lb))
-    grid_ok = worst_gap <= 1e-4
+            a, b = float(a), float(b)
+
+            def ratio(t, a=a, b=b):
+                c = bounds.cos_theta_lb(a, b, t)
+                return (1.0 + c) / (2.0 * t + 1.0 - c)
+
+            ev = bounds.kappa_lb_closed_form(bounds.AlphaBeta(alpha=a, beta=b))
+            best = _golden_section_max(ratio, 0.0, a * b)
+            g = bounds.gamma(a, b)
+            # the maximum, its value at t_opt, and the gamma identity
+            for value in (best, ratio(ev.t_opt), (1.0 + g) / (1.0 - g)):
+                devs.append(abs(value - ev.kappa_lb) / ev.kappa_lb)
+    worst_gap = float(np.max(devs))  # NaN if any bound is not finite
+    grid_ok = worst_gap <= 1e-9
 
     # feasibility-region minimum vs. an exhaustive grid
     minab_dev = 0.0
@@ -243,7 +268,7 @@ def test_criterion_07_closed_form_bound_and_feasibility_minimum():
     _report(
         "07",
         ok,
-        f"50x50 closed-form vs grid max dev {worst_gap:.2e}; "
+        f"50x50 closed-form vs golden-section max rel dev {worst_gap:.2e}; "
         f"feasibility minimum dev {minab_dev:.2e}; "
         f"rank-1 worst case kappa_lb={worst_case.kappa_lb:.12f} at "
         f"(alpha,beta)=({ab.alpha:.12f},{ab.beta:.12f})",

@@ -7,12 +7,6 @@ from bmlandscape import bounds
 
 SEED = 47101
 
-ALPHA_BETA_GRID = [
-    (a, b)
-    for a in np.linspace(0.05, 0.999, 12)
-    for b in np.linspace(0.0, 1.2, 12)
-]
-
 
 def grid_tradeoff_max(alpha, beta, points=10001):
     """Exhaustive witness-parameter search, the oracle for the closed form.
@@ -178,7 +172,7 @@ def test_cos_theta_lb_is_nondecreasing_in_t():
 
 @pytest.mark.parametrize("alpha,beta", [(0.3, 0.1), (0.6, 0.2), (0.9, 0.05), (0.99, 0.3)])
 def test_tradeoff_closed_form_matches_grid(alpha, beta):
-    ev = bounds.tradeoff_max(alpha, beta)
+    ev = bounds.kappa_lb_closed_form(bounds.AlphaBeta(alpha=alpha, beta=beta))
     grid = grid_tradeoff_max(alpha, beta)
     assert math.isfinite(ev.kappa_lb)
     assert abs(ev.kappa_lb - grid) <= 1e-4 * max(1.0, abs(ev.kappa_lb))
@@ -189,21 +183,8 @@ def test_tradeoff_closed_form_matches_grid(alpha, beta):
     assert abs(ratio_at_topt - ev.kappa_lb) <= 1e-9 * max(1.0, ev.kappa_lb)
 
 
-def test_tradeoff_equals_closed_form_everywhere():
-    for a, b in ALPHA_BETA_GRID:
-        direct = bounds.kappa_lb_closed_form(bounds.AlphaBeta(alpha=float(a), beta=float(b)))
-        traded = bounds.tradeoff_max(float(a), float(b))
-        if math.isinf(direct.kappa_lb):
-            assert math.isinf(traded.kappa_lb)
-        else:
-            assert abs(direct.kappa_lb - traded.kappa_lb) <= 1e-9 * max(
-                1.0, direct.kappa_lb
-            )
-        assert direct.branch == traded.branch
-
-
 def test_tradeoff_alpha_one_limit():
-    ev = bounds.tradeoff_max(1.0, 0.25)
+    ev = bounds.kappa_lb_closed_form(bounds.AlphaBeta(alpha=1.0, beta=0.25))
     assert abs(ev.kappa_lb - 4.0) <= 1e-9
 
 

@@ -176,8 +176,7 @@ def test_feasibility_report_sign_conventions():
         residuals={"gradient_orthogonality": 2e-8, "hessian_lmi": 0.0},
         tol=1e-8,
     )
-    assert not rep2.feasible
-    assert rep2.to_obj()["feasible"] is False
+    assert rep2.feasible is False
 
 
 # -- analytic eigenpairs ------------------------------------------------------------

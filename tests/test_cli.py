@@ -351,6 +351,76 @@ def test_malformed_measurement_stack_is_input_error(capsys, tmp_path, command, c
     assert not (tmp_path / "cert.dat-s").exists()
 
 
+# every field the loader reads; "kind" has its own message and "manifest"
+# is not read
+RECORD_FIELDS = [
+    ("top", name)
+    for name in (
+        "n", "r", "r_star", "q", "kappa", "basis_mode", "seed", "basis",
+        "x_spur", "z", "objective",
+    )
+] + [("objective", name) for name in ("n", "r_star", "Z", "measurements")]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("owner,field", RECORD_FIELDS)
+def test_missing_record_field_is_named(capsys, tmp_path, command, owner, field):
+    path = build_instance(capsys, tmp_path)
+    record = json.loads(path.read_text())
+    del (record["objective"] if owner == "objective" else record)[field]
+    path.write_text(json.dumps(record))
+    rc, out, err = run(capsys, *instance_subcommand(command, path, tmp_path))
+    assert rc == 2
+    assert err == f"error: {path}: record is missing field '{field}'\n"
+    assert out == ""
+    assert not (tmp_path / "cert.dat-s").exists()
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize(
+    "owner,field,value",
+    [
+        # each equals the built (4, 2, 1) record's value as a number
+        ("top", "n", 4.0), ("top", "r", 2.0), ("top", "r_star", True),
+        ("top", "q", 2.0), ("objective", "n", "4"), ("objective", "n", 4.0),
+        ("objective", "r_star", True), ("objective", "r_star", 1.9),
+    ],
+)
+def test_integer_field_of_wrong_json_type_is_input_error(
+    capsys, tmp_path, command, owner, field, value
+):
+    path = build_instance(capsys, tmp_path, n=4, r=2, rstar=1)
+    record = json.loads(path.read_text())
+    (record["objective"] if owner == "objective" else record)[field] = value
+    path.write_text(json.dumps(record))
+    rc, out, err = run(capsys, *instance_subcommand(command, path, tmp_path))
+    assert rc == 2
+    assert err.startswith("error:")
+    assert f"field {field}={value!r} is not" in err
+    assert out == ""
+    assert not (tmp_path / "cert.dat-s").exists()
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("matrix", ["x_spur", "z", "basis", "Z", "measurements"])
+def test_matrix_entry_spelled_as_string_is_input_error(
+    capsys, tmp_path, command, matrix
+):
+    # a number written as a JSON string, e.g. "1.0", is not a number
+    path = build_instance(capsys, tmp_path)
+    record = json.loads(path.read_text())
+    rows = (record["objective"] if matrix in ("Z", "measurements") else record)[matrix]
+    if matrix == "measurements":
+        rows = rows[0]
+    rows[0][0] = repr(rows[0][0])
+    path.write_text(json.dumps(record))
+    rc, out, err = run(capsys, *instance_subcommand(command, path, tmp_path))
+    assert rc == 2
+    assert err.startswith("error:") and "entries must be JSON numbers" in err
+    assert out == ""
+    assert not (tmp_path / "cert.dat-s").exists()
+
+
 # -- bounds ------------------------------------------------------------------
 
 

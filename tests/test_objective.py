@@ -354,5 +354,5 @@ def test_from_obj_rejects_inconsistent_record():
         QuadraticObjective.from_obj(record)
     record = obj.to_obj()
     del record["Z"]
-    with pytest.raises(ValueError):
+    with pytest.raises(KeyError, match="'Z'"):  # the CLI names the field
         QuadraticObjective.from_obj(record)
