@@ -7,6 +7,12 @@ from bmlandscape import bounds
 
 SEED = 47101
 
+ALPHA_BETA_GRID = [
+    (a, b)
+    for a in np.linspace(0.05, 0.999, 12)
+    for b in np.linspace(0.0, 1.2, 12)
+]
+
 
 def grid_tradeoff_max(alpha, beta, points=10001):
     """Exhaustive witness-parameter search, the oracle for the closed form.
@@ -181,6 +187,23 @@ def test_tradeoff_closed_form_matches_grid(alpha, beta):
         2.0 * ev.t_opt + 1.0 - bounds.cos_theta_lb(alpha, beta, ev.t_opt)
     )
     assert abs(ratio_at_topt - ev.kappa_lb) <= 1e-9 * max(1.0, ev.kappa_lb)
+
+
+def test_tradeoff_equals_closed_form_everywhere():
+    # the bound is (1 + gamma)/(1 - gamma), on the branch the docstring's
+    # boundary beta = alpha/(1 + sqrt(1 - alpha^2)) selects
+    for a, b in ALPHA_BETA_GRID:
+        a, b = float(a), float(b)
+        direct = bounds.kappa_lb_closed_form(bounds.AlphaBeta(alpha=a, beta=b))
+        g = bounds.gamma(a, b)
+        traded = math.inf if g >= 1.0 else (1.0 + g) / (1.0 - g)
+        if math.isinf(traded):
+            assert math.isinf(direct.kappa_lb)
+        else:
+            assert abs(direct.kappa_lb - traded) <= 1e-9 * max(1.0, traded)
+        first = b >= a / (1.0 + math.sqrt(1.0 - a * a))
+        assert direct.branch == ("first" if first else "second")
+        assert direct.gamma_value == g
 
 
 def test_tradeoff_alpha_one_limit():
