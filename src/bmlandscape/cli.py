@@ -20,9 +20,11 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from . import (
     counterexample,
     dynamics,
     eckart_young,
+    objective,
     serialize,
 )
 
@@ -41,6 +44,10 @@ __all__ = ["main"]
 
 # relative tolerance of verify's check of the record's kappa against L/mu
 KAPPA_RTOL = 1e-9
+
+# TrialConfig's fields after the instance, in order: each is one trials flag
+# (its dest and default) and one manifest parameter
+_TRIAL_FIELDS = {f.name: f for f in dataclasses.fields(dynamics.TrialConfig)[1:]}
 
 
 class InputError(Exception):
@@ -133,14 +140,14 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
-    report = counterexample.verify_spurious(inst, grad_tol=args.tol, hess_tol=args.tol)
+    report = counterexample.verify_spurious(inst, args.tol)
     gap_formula = counterexample.spurious_gap(inst.q)
     mu, big = inst.objective.smoothness_bounds()
     checks = {
         "first_order": report.grad_norm <= args.tol,
         "second_order": report.hess_min_eig >= -args.tol,
-        "gap_matches_formula": abs(report.gap - gap_formula) <= args.tol,
-        "gap_exceeds_mu": report.gap > 1.0,
+        "gap_matches_formula": abs(report.objective_value - gap_formula) <= args.tol,
+        "gap_exceeds_mu": report.objective_value > 1.0,
         "kappa_matches_spectrum": abs(inst.kappa - big / mu) <= KAPPA_RTOL * big / mu,
     }
     passed = all(checks.values())
@@ -213,33 +220,14 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_trials(args) -> int:
     inst = _load_instance(args.instance)
+    values = {name: getattr(args, name) for name in _TRIAL_FIELDS}
     try:
-        cfg = dynamics.TrialConfig(
-            instance=inst,
-            search_rank=args.search_rank,
-            learning_rate=args.lr,
-            momentum=args.momentum,
-            radius=args.radius,
-            max_iters=args.max_iters,
-            trials=args.trials,
-            master_seed=args.seed,
-            success_tol=args.success_tol,
-            stuck_tol=args.stuck_tol,
-        )
+        cfg = dynamics.TrialConfig(instance=inst, **values)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = dynamics.run_trials(cfg)
-    parameters = {
-        "search_rank": args.search_rank,
-        "learning_rate": args.lr,
-        "momentum": args.momentum,
-        "radius": args.radius,
-        "max_iters": args.max_iters,
-        "trials": args.trials,
-        "seed": args.seed,
-        "success_tol": args.success_tol,
-        "stuck_tol": args.stuck_tol,
-    }
+    # artifacts name master_seed "seed" in the manifest, as the flag does
+    parameters = {("seed" if k == "master_seed" else k): v for k, v in values.items()}
     manifest = _manifest(
         "trials",
         parameters,
@@ -325,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the spurious second-order point")
     p.add_argument("--instance", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=objective.STATIONARY_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_verify, size_flags=("--instance",))
 
@@ -340,15 +328,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trials", help="run the escape experiment")
     p.add_argument("--instance", required=True)
-    p.add_argument("--search-rank", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--lr", type=float, default=5e-3)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--radius", type=float, default=0.05)
-    p.add_argument("--max-iters", type=int, default=20000)
-    p.add_argument("--success-tol", type=float, default=1e-6)
-    p.add_argument("--stuck-tol", type=float, default=0.1)
+    types = typing.get_type_hints(dynamics.TrialConfig)
+    for name, field in _TRIAL_FIELDS.items():
+        flag = {"learning_rate": "--lr", "master_seed": "--seed"}.get(name, "--" + name)
+        p.add_argument(
+            flag.replace("_", "-"),
+            dest=name,
+            type=types[name],
+            required=field.default is dataclasses.MISSING,
+            default=field.default,
+        )
     p.add_argument("--csv", default=None, help="per-trial CSV path (default stdout)")
     p.add_argument("--summary", default=None, help="aggregate JSON path")
     p.set_defaults(handler=_cmd_trials, size_flags=("--search-rank", "--trials"))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .objective import QuadraticObjective, SecondOrderReport
+from .objective import STATIONARY_TOL, QuadraticObjective, SecondOrderReport
 
 __all__ = [
     "SCALE",
@@ -258,14 +258,10 @@ def spurious_gap(q: int) -> float:
 
 
 def verify_spurious(
-    instance: CounterexampleInstance,
-    grad_tol: float = 1e-9,
-    hess_tol: float = 1e-9,
+    instance: CounterexampleInstance, tol: float = STATIONARY_TOL
 ) -> SecondOrderReport:
     """Second-order diagnostics of the objective at the stuck factor."""
-    return instance.objective.check_second_order(
-        instance.x_spur, grad_tol=grad_tol, hess_tol=hess_tol
-    )
+    return instance.objective.check_second_order(instance.x_spur, tol)
 
 
 def eigen_pairs(instance: CounterexampleInstance) -> list[tuple[float, np.ndarray]]:

@@ -121,16 +121,9 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Per-trial records (sorted by trial id) plus aggregate counts."""
+    """Per-trial records, sorted by trial id; ``to_obj`` counts their outcomes."""
 
     records: tuple[TrialRecord, ...]
-    successes: int
-    stuck: int
-    undetermined: int
-
-    @property
-    def total(self) -> int:
-        return len(self.records)
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -151,11 +144,12 @@ class TrialReport:
         return "\n".join(lines) + "\n"
 
     def to_obj(self) -> dict:
+        outcomes = [rec.outcome for rec in self.records]
         return {
-            "trials": self.total,
-            "successes": self.successes,
-            "stuck": self.stuck,
-            "undetermined": self.undetermined,
+            "trials": len(outcomes),
+            "successes": outcomes.count("success"),
+            "stuck": outcomes.count("stuck"),
+            "undetermined": outcomes.count("undetermined"),
             "rng": RNG_SPEC,
         }
 
@@ -356,25 +350,17 @@ def run_trials(cfg: TrialConfig) -> TrialReport:
     diff = x_fin - spur
     dist = np.sqrt(np.einsum("bij,bij->b", diff, diff, optimize=False))
 
-    records = []
-    counts = {"success": 0, "stuck": 0, "undetermined": 0}
-    for t in range(cfg.trials):
-        outcome = _classify(float(f_fin[t]), cfg.success_tol, cfg.stuck_tol)
-        counts[outcome] += 1
-        records.append(
+    return TrialReport(
+        tuple(
             TrialRecord(
                 trial=t,
                 seed=seeds[t],
-                outcome=outcome,
+                outcome=_classify(float(f_fin[t]), cfg.success_tol, cfg.stuck_tol),
                 final_f=float(f_fin[t]),
                 final_grad_norm=float(g_fin[t]),
                 dist_to_spur=float(dist[t]),
                 iters=int(iters[t]),
             )
+            for t in range(cfg.trials)
         )
-    return TrialReport(
-        records=tuple(records),
-        successes=counts["success"],
-        stuck=counts["stuck"],
-        undetermined=counts["undetermined"],
     )

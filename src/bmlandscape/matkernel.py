@@ -57,16 +57,9 @@ def sym_eig(s):
     """Eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
     Returns ``(w, v)`` with ``w`` descending and ``v`` the matching
-    orthonormal eigenvector columns.  A 1x1 or zero matrix is answered
-    exactly, with ``v`` the identity.
+    orthonormal eigenvector columns.
     """
-    a = as_symmetric(s)
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy(), np.eye(1)
-    if not a.any():
-        return np.zeros(n), np.eye(n)
-    w, v = np.linalg.eigh(a)
+    w, v = np.linalg.eigh(as_symmetric(s))
     return w[::-1], v[:, ::-1]
 
 

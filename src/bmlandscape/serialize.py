@@ -19,6 +19,7 @@ infinities, NaN) goes element by element.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from typing import Any
@@ -128,10 +129,24 @@ def matrix_to_lists(m: np.ndarray) -> list:
     return a.tolist()
 
 
-def matrix_from_lists(rows: list) -> np.ndarray:
-    a = np.asarray(rows)
-    if a.dtype.kind not in "iuf":
+def _number_array(nested) -> np.ndarray:
+    """Array of nested JSON lists of numbers, as numpy parses it.
+
+    numpy reads ``true`` and ``false`` among numbers as 1 and 0, so a
+    numeric array is also searched for booleans entry by entry.  The
+    record loaders parse every matrix and the measurement stack here.
+    """
+    a = np.asarray(nested)
+    entries = [nested]
+    for _ in range(a.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if a.dtype.kind not in "iuf" or bool in set(map(type, entries)):
         raise ValueError("matrix entries must be JSON numbers")
+    return a
+
+
+def matrix_from_lists(rows: list) -> np.ndarray:
+    a = _number_array(rows)
     if a.ndim != 2:
         raise ValueError("expected nested lists forming a matrix")
     if not np.all(np.isfinite(a)):

@@ -62,6 +62,7 @@ def _random_objective(rng):
 
 
 def test_criterion_01_reference_instance_is_strict_spurious():
+    """The built point passes hess_min_eig >= -1e-9 yet is a fourth-order saddle."""
     t0 = time.perf_counter()
     inst = ce.build(5, 3, 2)
     rep = ce.verify_spurious(inst)
@@ -72,17 +73,17 @@ def test_criterion_01_reference_instance_is_strict_spurious():
     ok = (
         rep.grad_norm <= 1e-9
         and rep.hess_min_eig >= -1e-9
-        and abs(rep.gap - gap_formula) <= 1e-9
+        and abs(rep.objective_value - gap_formula) <= 1e-9
         and abs(mu - 1.0) <= 1e-9
         and abs(lip - kappa) <= 1e-9
-        and rep.gap > mu
+        and rep.objective_value > mu
         and elapsed < 1.0
     )
     _report(
         "01",
         ok,
         f"grad_norm={rep.grad_norm:.2e} hess_min_eig={rep.hess_min_eig:.2e} "
-        f"gap={rep.gap:.12f} (mu,L)=({mu:.9f},{lip:.9f}) in {elapsed:.2f}s",
+        f"gap={rep.objective_value:.12f} (mu,L)=({mu:.9f},{lip:.9f}) in {elapsed:.2f}s",
     )
 
 
@@ -91,12 +92,13 @@ def test_criterion_02a_overparameterized_search_escapes():
     inst = ce.build(5, 3, 2)
     report = dynamics.run_trials(dynamics.TrialConfig(instance=inst, search_rank=4))
     elapsed = time.perf_counter() - t0
-    ok = report.successes >= 98 and elapsed < 60.0
+    counts = report.to_obj()
+    ok = counts["successes"] >= 98 and elapsed < 60.0
     _report(
         "02a",
         ok,
-        f"rank-4 successes={report.successes}/100 stuck={report.stuck} "
-        f"undetermined={report.undetermined} in {elapsed:.1f}s",
+        f"rank-4 successes={counts['successes']}/100 stuck={counts['stuck']} "
+        f"undetermined={counts['undetermined']} in {elapsed:.1f}s",
     )
 
 
@@ -113,12 +115,13 @@ def test_criterion_02b_rank_limited_search_stays_trapped():
     inst = ce.build(5, 3, 2)
     report = dynamics.run_trials(dynamics.TrialConfig(instance=inst, search_rank=3))
     elapsed = time.perf_counter() - t0
-    ok = report.stuck >= 85 and elapsed < 60.0
+    counts = report.to_obj()
+    ok = counts["stuck"] >= 85 and elapsed < 60.0
     _report(
         "02b",
         ok,
-        f"rank-3 stuck={report.stuck}/100 successes={report.successes} "
-        f"undetermined={report.undetermined} in {elapsed:.1f}s "
+        f"rank-3 stuck={counts['stuck']}/100 successes={counts['successes']} "
+        f"undetermined={counts['undetermined']} in {elapsed:.1f}s "
         f"(census at defaults: lr=5e-3, momentum=0.9, radius=0.05, seed=0)",
     )
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -421,6 +422,26 @@ def test_matrix_entry_spelled_as_string_is_input_error(
     assert not (tmp_path / "cert.dat-s").exists()
 
 
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("matrix", ["x_spur", "z", "basis", "Z", "measurements"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_boolean_matrix_entry_is_input_error(capsys, tmp_path, command, matrix, flag):
+    # numpy parses [[1.0, false]] as floats, reading false as 0.0
+    path = build_instance(capsys, tmp_path)
+    record = json.loads(path.read_text())
+    rows = (record["objective"] if matrix in ("Z", "measurements") else record)[matrix]
+    if matrix == "measurements":
+        rows = rows[-1]
+    rows[-1][-1] = flag
+    path.write_text(json.dumps(record))
+    rc, out, err = run(capsys, *instance_subcommand(command, path, tmp_path))
+    assert rc == 2
+    assert err.startswith("error:") and "entries must be JSON numbers" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "cert.dat-s").exists()
+
+
 # -- bounds ------------------------------------------------------------------
 
 
@@ -615,6 +636,35 @@ def test_export_reruns_byte_identical(capsys, tmp_path):
         capsys, "export", "--instance", str(path), "--which", "lb", "--out", str(out_path)
     )[0] == 0
     assert out_path.read_bytes() == first
+
+
+# sha256 of the files verify and trials write, run from the output directory
+# so the manifests carry relative paths; trials passes only the flags below,
+# so its manifest carries every other default.  Computed before the report
+# fields, the trials flags and their defaults were each given one definition.
+CLI_SHA256 = {
+    "verify.json": "6823d8c6dcde3d2316da36d14830f5a1eb90d80e41da954a13f4dd2a4c1a94b3",
+    "runs.csv": "e9ed1449d14b26d3211185e204d9694438fa8fb907cb44646beff3f6fb2719da",
+    "runs.json": "d96ddff2b7a70680bf7c855397e7527e5be1c79eaea7a55f91c49ee2dfd328ed",
+}
+
+
+def test_verify_and_trials_output_bytes_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, dims in (("inst532.json", ("5", "3", "2")), ("inst421.json", ("4", "2", "1"))):
+        argv = ["build", "--n", dims[0], "--r", dims[1], "--rstar", dims[2], "--out", name]
+        assert run(capsys, *argv)[0] == 0
+    assert run(capsys, "verify", "--instance", "inst532.json", "--out", "verify.json")[0] == 0
+    rc, out, _ = run(
+        capsys, "trials", "--instance", "inst421.json", "--search-rank", "2",
+        "--trials", "4", "--max-iters", "50", "--csv", "runs.csv", "--summary", "runs.json",
+    )
+    assert rc == 0 and out == ""
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in CLI_SHA256
+    }
+    assert digests == CLI_SHA256
 
 
 # -- malformed input never ends in a traceback --------------------------------

@@ -83,7 +83,7 @@ def test_sweep_stationarity_and_gap(n, r, rs):
     inst = ce.build(n, r, rs)
     rep = ce.verify_spurious(inst)
     assert rep.passed
-    assert abs(rep.gap - ce.spurious_gap(inst.q)) <= 1e-10
+    assert abs(rep.objective_value - ce.spurious_gap(inst.q)) <= 1e-10
 
 
 def test_random_basis_is_orthonormal_and_reproducible():
@@ -99,7 +99,7 @@ def test_random_basis_preserves_the_landscape():
     inst = ce.build(6, 4, 2, basis_mode="random", seed=3)
     rep = ce.verify_spurious(inst)
     assert rep.passed
-    assert abs(rep.gap - ce.spurious_gap(inst.q)) <= 1e-10
+    assert abs(rep.objective_value - ce.spurious_gap(inst.q)) <= 1e-10
     mu, big = inst.objective.smoothness_bounds()
     assert abs(mu - 1.0) <= 1e-10
     assert abs(big - inst.kappa) <= 1e-10

@@ -292,9 +292,10 @@ def test_windowed_engine_flushes_subnormal_iterates():
 
 def test_overparameterized_trials_all_escape():
     report = dynamics.run_trials(small_config())
-    assert report.total == 10
-    assert report.successes == 10
-    assert report.stuck == 0 and report.undetermined == 0
+    counts = report.to_obj()
+    assert counts["trials"] == len(report.records) == 10
+    assert counts["successes"] == 10
+    assert counts["stuck"] == 0 and counts["undetermined"] == 0
     assert [r.trial for r in report.records] == list(range(10))
     for rec in report.records:
         assert rec.final_f <= 1e-6
@@ -347,8 +348,9 @@ def test_rank_limited_trials_stay_pinned():
     cfg = small_config(search_rank=3, max_iters=50, trials=8)
     report = dynamics.run_trials(cfg)
     gap = ce.spurious_gap(cfg.instance.r - cfg.instance.r_star + 1)
-    assert report.successes == 0
-    assert report.stuck == 8
+    counts = report.to_obj()
+    assert counts["successes"] == 0
+    assert counts["stuck"] == 8
     for rec in report.records:
         assert abs(rec.final_f - gap) <= 0.05
         assert rec.dist_to_spur <= cfg.radius + 1e-12

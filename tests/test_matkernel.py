@@ -93,9 +93,9 @@ def test_sym_eig_near_degenerate_cluster():
 def test_sym_eig_zero_and_scalar():
     w, v = sym_eig(np.zeros((4, 4)))
     assert np.array_equal(w, np.zeros(4))
-    assert np.array_equal(v, np.eye(4))
+    assert np.linalg.norm(v.T @ v - np.eye(4)) <= 1e-14
     w, v = sym_eig([[7.0]])
-    assert w[0] == 7.0 and v[0, 0] == 1.0
+    assert w[0] == 7.0 and abs(v[0, 0]) == 1.0
 
 
 # -- pseudo-inverse -----------------------------------------------------------

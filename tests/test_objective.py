@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bmlandscape.matkernel import vec
-from bmlandscape.objective import QuadraticObjective, symmetric_basis
+from bmlandscape.objective import STATIONARY_TOL, QuadraticObjective, symmetric_basis
 
 SEED = 91231
 
@@ -280,7 +280,7 @@ def test_f_hess_matrix_consistent_with_quadform():
 def test_f_hess_min_eig_is_a_lower_bound():
     obj, rng = make_objective(4, 1, 6, SEED + 10)
     x = rng.standard_normal((4, 2))
-    lo = obj.f_hess_min_eig(x)
+    lo = obj.check_second_order(x).hess_min_eig
     for _ in range(10):
         v = rng.standard_normal((4, 2))
         rayleigh = obj.f_hess_quadform(x, v) / float(np.vdot(v, v))
@@ -294,15 +294,17 @@ def test_check_second_order_at_ground_truth():
     obj, _ = make_objective(4, 2, 20, SEED + 12)
     rep = obj.check_second_order(obj.ground_truth)
     assert rep.passed
-    assert rep.objective_value == rep.gap
-    assert rep.gap <= 1e-20
-    assert rep.grad_tol == 1e-9 and rep.hess_tol == 1e-9
+    assert rep.objective_value <= 1e-20
+    assert rep.tol == STATIONARY_TOL == 1e-9
+    d = rep.to_obj()
+    assert d["gap"] == d["objective_value"] == rep.objective_value
+    assert d["grad_tol"] == d["hess_tol"] == rep.tol
 
 
 def test_check_second_order_flags_nonstationary_point():
     obj, rng = make_objective(4, 2, 20, SEED + 13)
     x = rng.standard_normal((4, 2))
-    rep = obj.check_second_order(x, grad_tol=1e-9)
+    rep = obj.check_second_order(x, tol=1e-9)
     assert rep.grad_norm > 1e-9
     assert not rep.passed
     d = rep.to_obj()
@@ -334,8 +336,6 @@ def test_overflowing_factor_is_value_error():
         obj.f_hess_quadform(x, x)
     with pytest.raises(ValueError, match="Hessian of f at X overflows"):
         obj.f_hess_matrix(x)
-    with pytest.raises(ValueError, match="Hessian of f at X overflows"):
-        obj.f_hess_min_eig(x)
 
 
 def test_objective_round_trip():
