@@ -14,23 +14,26 @@ Reports are bitwise reproducible for a fixed master seed:
 * each trial owns a private PCG64 stream derived from
   ``SeedSequence(master_seed, spawn_key=(trial,))``;
 * all trials run in one batch on one thread;
-* the hot loop evaluates f and its gradient only through the objective's
-  batched kernels (``residuals``, ``apply_gram``, ``values``, ``grads`` in
-  :mod:`bmlandscape.objective`), carrying ``S = grad phi(X X^T)`` from one
-  step to the next: each product is a stacked ``np.matmul`` that makes the
-  same BLAS call per trial, never a flat product over the batch, so each
-  trial's arithmetic is exactly that of a solo run whatever else shares its
-  batch, and a trial's f and gradient equal the objective's single-factor
-  ``f_eval`` and ``f_grad`` (the batch-of-one case) bit for bit;
+* the hot loop is the unrolled batch form of the objective's batched
+  kernels (``grads``, ``residuals``, ``apply_gram`` in
+  :mod:`bmlandscape.objective`, which stay the definitions): the same
+  arithmetic in the same order, on buffers built once per batch shape, with
+  the gradient's factor 2 folded exactly into the step size, carrying
+  ``S = grad phi(X X^T)`` from one step to the next.  Each product is a
+  stacked ``np.matmul`` that makes the same BLAS call per trial, never a
+  flat product over the batch, so each trial's arithmetic is exactly that
+  of a solo run whatever else shares its batch, and a trial's f and
+  gradient equal the objective's single-factor ``f_eval`` and ``f_grad``
+  (the batch-of-one case) bit for bit;
 * the active trials are stepped ``WINDOW`` steps at a time and tested once
   per window; a trial that reached the success tolerance (or diverged) at
   some step of the window leaves the active set with its state and
   iteration count from that step.  Because of the per-trial kernels the
   steps it took after that point touched no other trial's bits, so the
   report equals that of testing after every step;
-* after each window's exit test, every entry of the active trials' X and V
-  below ``np.finfo(float).tiny`` in magnitude (a subnormal, or a zero of
-  either sign) is set to +0.0.  The flush is elementwise and the windows
+* after each window's exit test, every entry of the active trials' X, V
+  and S below ``np.finfo(float).tiny`` in magnitude (a subnormal, or a zero
+  of either sign) is set to +0.0.  The flush is elementwise and the windows
   start at the same steps for every trial, so it keeps batch independence.
   It leaves the reported numbers (f, gradient norm, distance, iteration
   count) bitwise equal to a plain step-by-step loop, and X equal to that
@@ -92,8 +95,11 @@ class TrialConfig:
                 f"search_rank {self.search_rank} is below the instance "
                 f"rank {self.instance.r}"
             )
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be positive and finite")
+        # the trial engine steps with 2 * learning_rate, which must be finite
+        if not 0.0 < self.learning_rate <= np.finfo(float).max / 2:
+            raise ValueError(
+                "learning_rate must be positive and at most half the largest float"
+            )
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if not 0.0 < self.radius < np.inf:
@@ -154,28 +160,6 @@ class TrialReport:
         }
 
 
-def _step(x, v, g, lr, mom, out):
-    """One accelerated descent step, the update of the trial engine.
-
-        V' = mom * V - lr * g
-        X' = X + mom * V' - lr * g
-
-    The result is written into ``out``, a pair ``(x_next, v_next)``, and
-    ``g`` is overwritten by ``lr * g``; ``v_next`` may be ``v`` itself,
-    ``x_next`` must not share memory with ``x``.  The bits are those of
-    ``x + mom * (mom * v - lr * g) - lr * g``.  It does not flush subnormal
-    entries; the trial engine does, once per window.
-    """
-    x_next, v_next = out
-    lr_g = np.multiply(lr, g, out=g)
-    np.multiply(mom, v, out=v_next)
-    np.subtract(v_next, lr_g, out=v_next)
-    np.multiply(mom, v_next, out=x_next)
-    np.add(x, x_next, out=x_next)
-    np.subtract(x_next, lr_g, out=x_next)
-    return x_next, v_next
-
-
 def sample_near(x_center, radius, seed):
     """Uniform draw from the Frobenius ball of given radius around a matrix.
 
@@ -215,8 +199,12 @@ WINDOW = 8
 def _run_batch(obj, x0, cfg):
     """Drive a batch of trials until each converges, diverges or runs out.
 
-    Every f and gradient comes from the batched kernels of ``obj``, the
-    instance's :class:`QuadraticObjective`; each trial carries its
+    The first and the final evaluations call the batched kernels of ``obj``,
+    the instance's :class:`QuadraticObjective`.  Each step in between is
+    their unrolled batch form: the arithmetic of ``grads``, ``residuals``
+    and ``apply_gram`` in the same order, as eleven numpy calls on operands
+    built once per batch shape, so it gives their bits (the tests check
+    this against a loop that calls them).  Each trial carries its
     ``S = grad phi(X X^T)`` from one evaluation to the next step.  Only the
     active trials' rows are stepped, ``WINDOW`` steps at a time: each step
     writes its X, E and S into the window's history buffers, then one
@@ -226,18 +214,20 @@ def _run_batch(obj, x0, cfg):
     f are taken from that step of the history and its iteration count is
     that step's.  The steps it took after that point within the window are
     discarded, and they touched no other trial's numbers, since every
-    kernel works on each trial's own matrices.  Then every entry of the
-    active trials' X and V whose magnitude is below ``np.finfo(float).tiny``
-    is set to zero.  In a trial trapped at a spurious point, a zero row of
-    the point can decay geometrically into the subnormal range and stay
-    there to ``max_iters`` (row 4 of ``x_spur`` in the rank-limited census),
-    and subnormal operands make each kernel several times slower on CPUs
-    without flush-to-zero.  A trial that left keeps its state from its exit
-    step, unflushed.  Where a flushed entry meets normal terms in a later
-    sum it lies far below half an ulp of that sum and would be rounded
-    away, so f, the gradient norm and the iteration counts stay those of
-    the unflushed loop (the tests check this bitwise).  Trials still active
-    at ``max_iters`` are written back at the end.
+    product works on each trial's own matrices.  Then every entry of the
+    active trials' X, V and S whose magnitude is below
+    ``np.finfo(float).tiny`` is set to zero.  In a trial trapped at a
+    spurious point, a zero row of the point can decay geometrically into
+    the subnormal range and stay there to ``max_iters`` (row 4 of
+    ``x_spur`` in the rank-limited census), and subnormal operands make
+    each product several times slower on CPUs without flush-to-zero; S is
+    flushed too, or the next window's first step rebuilds subnormal rows of
+    X from it.  A trial that left keeps its state from its exit step,
+    unflushed.  Where a flushed entry meets normal terms in a later sum it
+    lies far below half an ulp of that sum and would be rounded away, so f,
+    the gradient norm and the iteration counts stay those of the unflushed
+    loop (the tests check this bitwise).  Trials still active at
+    ``max_iters`` are written back at the end.
     Returns the final iterates and per-trial (f, grad norm, iterations)
     arrays; a diverged trial keeps its non-finite f and the iteration at
     which it appeared.
@@ -245,9 +235,14 @@ def _run_batch(obj, x0, cfg):
     x_out = np.array(x0, dtype=float)
     _, n, r = x_out.shape
     iters = np.zeros(len(x_out), dtype=np.int64)
-    # 0-d arrays cost less per ufunc call than Python floats, same bits
-    lr, mom = np.array(cfg.learning_rate), np.array(cfg.momentum)
+    # 0-d arrays cost less per ufunc call than Python floats, same bits;
+    # 2 * lr is exact, as TrialConfig keeps it finite
+    lr2, mom = np.array(2.0 * cfg.learning_rate), np.array(cfg.momentum)
     tol, tiny = cfg.success_tol, np.finfo(float).tiny
+    # local names skip a module lookup per call: about 3% of the census
+    matmul, multiply, add, subtract, copyto = (
+        np.matmul, np.multiply, np.add, np.subtract, np.copyto
+    )
     # overflow in a diverging trial (or at a far initial point) is expected;
     # it is caught by the finiteness test and reported by run_trials
     with np.errstate(over="ignore", invalid="ignore"):
@@ -258,13 +253,16 @@ def _run_batch(obj, x0, cfg):
         x, s, f = x_out[idx], s_out[idx], f_out[idx]
         v = np.zeros_like(x)
         g = np.empty_like(x)
+        gram = obj.gram_symmetric
+        # residuals' operands: a copy of M* per trial and a buffer for X^T
+        m_star = np.broadcast_to(obj.m_star, s.shape).copy()
+        xt_buf = np.empty(x.size)
         # sized for the first window and viewed C-contiguous at the current
         # batch size, so each step's slice is a contiguous batch; the views
         # are rebuilt only when the batch or the window length changes
         x_buf = np.empty(WINDOW * x.size)
         e_buf = np.empty(WINDOW * s.size)
         s_buf = np.empty(WINDOW * s.size)
-        grads, residuals, apply_gram = obj.grads, obj.residuals, obj.apply_gram
         k, shape = 0, None
         while idx.size and k < cfg.max_iters:
             b = idx.size
@@ -275,10 +273,32 @@ def _run_batch(obj, x0, cfg):
                 eh = e_buf[: w * b * n * n].reshape(w, b, n, n)
                 sh = s_buf[: w * b * n * n].reshape(w, b, n, n)
                 e_rows, s_rows = eh.reshape(w * b, n, n), sh.reshape(w * b, n, n)
-                steps = list(zip(xh, eh, sh))
-            for x_j, e_j, s_j in steps:
-                _step(x, v, grads(x, s, out=g), lr, mom, out=(x_j, v))
-                x, s = x_j, apply_gram(residuals(x_j, out=e_j), out=s_j)
+                # apply_gram's (b, 1, n^2) views of each step's E and S
+                flat = (w, b, 1, n * n)
+                steps = list(zip(xh, eh, eh.reshape(flat), sh, sh.reshape(flat)))
+                xt = xt_buf[: b * r * n].reshape(b, r, n)
+                m_b = m_star[:b]
+            for x_j, e_j, e_vec, s_j, s_vec in steps:
+                # grads' G = 2 S X, then the accelerated step
+                #   V' = mom * V - lr * G,  X' = X + mom * V' - lr * G
+                # with the bits of x + mom * (mom * v - lr * G) - lr * G.
+                # G's factor 2 folds into the step size, since lr * (2 y)
+                # and (2 lr) * y round the same real number while 2 y is
+                # finite; g holds lr * G
+                matmul(s, x, out=g)
+                multiply(lr2, g, out=g)
+                multiply(mom, v, out=v)
+                subtract(v, g, out=v)
+                multiply(mom, v, out=x_j)
+                add(x, x_j, out=x_j)
+                subtract(x_j, g, out=x_j)
+                # residuals: E = X X^T - M*, with a contiguous X^T
+                copyto(xt, x_j.transpose(0, 2, 1))
+                matmul(x_j, xt, out=e_j)
+                subtract(e_j, m_b, out=e_j)
+                # apply_gram: S = mat(G vec(E))
+                matmul(e_vec, gram, out=s_vec)
+                x, s = x_j, s_j
             fh = obj.values(e_rows, s_rows).reshape(w, b)
             stop = ~(np.isfinite(fh) & (fh > tol))
             left = stop.any(axis=0)
@@ -295,9 +315,9 @@ def _run_batch(obj, x0, cfg):
                 # copies: the next window's views overlap these rows
                 idx, x, v, s, f = idx[keep], x[keep], v[keep], s[keep], f[keep]
                 g = g[: idx.size]
-            # subnormal operands slow every later kernel call (see the docstring)
-            for a in (x, v):
-                np.copyto(a, 0.0, where=np.abs(a) < tiny)
+            # subnormal operands slow every later product (see the docstring)
+            for a in (x, v, s):
+                copyto(a, 0.0, where=np.abs(a) < tiny)
             k += w
         x_out[idx], s_out[idx], f_out[idx] = x, s, f
         iters[idx] = cfg.max_iters

@@ -16,11 +16,15 @@ gram_symmetric`` with ``G vec(E) = vec(sum_k <A_k, E> A_k)``.  Values,
 gradients and the ``S = grad phi(X X^T)`` term come from batched kernels on
 the residual ``E = X X^T - M*`` (``residuals``, ``apply_gram``, ``values``,
 ``grads``): ``S = mat(G vec(E))``, ``f = 1/2 <E, S>`` and ``grad f = 2 S X``.
-They take a leading batch axis; the trial engine calls them on whole
-batches and the single-factor methods (``f_eval``, ``f_grad``,
-``f_hess_quadform``, ``f_hess_matrix``) are their batch-of-one case, so
-both report bitwise the same numbers.  The curvature constants come from
-``G`` as well.
+They take a leading batch axis and are the definitions: the single-factor
+methods (``f_eval``, ``f_grad``, ``f_hess_quadform``, ``f_hess_matrix``)
+are their batch-of-one case, and the trial engine calls them for its first
+and final evaluations and unrolls ``grads``, ``residuals`` and
+``apply_gram`` into its step loop as the same arithmetic in the same
+order (with the gradient's factor 2 folded, exactly, into the step size),
+so all of them report bitwise the same numbers; the engine's tests hold
+its loop to these kernels.  The curvature constants come from ``G``
+as well.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bmlandscape import counterexample as ce, dynamics, serialize
 from bmlandscape.cli import main
@@ -38,6 +39,7 @@ def test_config_rejects_search_rank_below_instance_rank():
         ("learning_rate", -1e-3),
         ("learning_rate", np.inf),
         ("learning_rate", np.nan),
+        ("learning_rate", np.nextafter(np.finfo(float).max / 2, np.inf)),  # 2 lr overflows
         ("momentum", 1.0),
         ("momentum", -0.1),
         ("radius", 0.0),
@@ -53,6 +55,31 @@ def test_config_rejects_search_rank_below_instance_rank():
 def test_config_validation(field, value):
     with pytest.raises(ValueError):
         small_config(**{field: value})
+
+
+# The engine steps with (2 lr) * y where grads gives 2 y: both products round
+# the same real number, since doubling a finite double that stays finite is
+# exact, subnormals and signed zeros included.
+HALF_MAX = np.finfo(float).max / 2
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    lr=st.floats(min_value=0.0, max_value=HALF_MAX, exclude_min=True),
+    y=st.floats(min_value=-HALF_MAX, max_value=HALF_MAX),
+)
+@example(lr=5e-3, y=0.0)
+@example(lr=5e-3, y=-0.0)
+@example(lr=5e-3, y=-5e-324)
+@example(lr=0.75, y=3 * 5e-324)
+@example(lr=HALF_MAX, y=np.finfo(float).tiny)
+@example(lr=5e-324, y=HALF_MAX)
+def test_doubling_folds_into_the_learning_rate(lr, y):
+    # the product itself may overflow or underflow, alike on both sides
+    with np.errstate(over="ignore", under="ignore"):
+        folded = np.float64(2.0 * lr) * np.float64(y)
+        plain = np.float64(lr) * (2.0 * np.float64(y))
+    assert folded.tobytes() == plain.tobytes()
 
 
 # -- ball sampling ----------------------------------------------------------------
@@ -255,8 +282,8 @@ def test_windowed_engine_rolls_back_a_trial_diverging_mid_window():
 
 def test_windowed_engine_flushes_subnormal_iterates():
     # x_spur's zero rows, started at about 1e-300, reach the subnormal range
-    # within a few hundred steps; the engine sets such entries of X and V to
-    # zero once per window, which moves no reported number and no entry of X
+    # within a few hundred steps; the engine sets such entries of X, V and S
+    # to zero once per window, which moves no reported number and no entry of X
     # at least tiny in magnitude.  The last trial leaves mid-window.
     tiny = np.finfo(float).tiny
     cfg = small_config(search_rank=3, max_iters=40 * K + 3)
@@ -322,6 +349,40 @@ def test_default_rank_limited_census_bytes_pinned():
     summary = hashlib.sha256(serialize.dumps(report.to_obj()).encode()).hexdigest()
     assert csv == "f314bc5c76ccd73ec054c29641889de0dbd82245721d0209f04c162289e69a53"
     assert summary == "bc38f4f45226f447bd48f8327e154526b78367bd4600e10bf51646763852b2de"
+
+
+# sha256 of to_csv() and of the dumped to_obj() of the default census at
+# other master seeds, both search ranks: the rank-3 runs hold 7 and 4 trapped
+# trials whose zero rows reach the subnormal range, the rank-4 runs none
+CENSUS_PINS = {
+    (1, 3): (
+        "60889a434919eb505980f621c1a09224d24c976918ba828c135b2da3e98d676b",
+        "3fec8a420fa1610b14a91365c9dfb323fb217b67e43be9462266907563c51b3a",
+    ),
+    (1, 4): (
+        "59bc4ca99072108ea352da27ad3b06a2e52a154b07afff7d1e553a33b2170a1c",
+        "f1aacdeead9db986d2495ae46febccd3cab511ecc7f4e5520e023baa40a75098",
+    ),
+    (2, 3): (
+        "773976eb31a1ed638041fde945633da8e95260672a1770911142cb1ad8ecae49",
+        "837f531c058a8ddd6c9215c0de6f1efec7d61faa187e707cba4c768a302487e1",
+    ),
+    (2, 4): (
+        "549e352cea3339cff24553f1503c62d6a94d12e6441a9ad38911fc9cdcda2541",
+        "f1aacdeead9db986d2495ae46febccd3cab511ecc7f4e5520e023baa40a75098",
+    ),
+}
+
+
+@pytest.mark.parametrize("master_seed,search_rank", sorted(CENSUS_PINS))
+def test_default_census_bytes_pinned_at_other_seeds(master_seed, search_rank):
+    cfg = dynamics.TrialConfig(
+        instance=ce.build(5, 3, 2), search_rank=search_rank, master_seed=master_seed
+    )
+    report = dynamics.run_trials(cfg)
+    csv = hashlib.sha256(report.to_csv().encode()).hexdigest()
+    summary = hashlib.sha256(serialize.dumps(report.to_obj()).encode()).hexdigest()
+    assert (csv, summary) == CENSUS_PINS[master_seed, search_rank]
 
 
 # Per-trial (outcome, iters) of the two small censuses at seed 42.  A change
@@ -391,6 +452,12 @@ def test_cli_diverging_trials_exit_2_without_artifacts(capsys, tmp_path):
     assert rc == 2
     assert err.startswith("error: trial ") and "lower the learning rate" in err
     assert "Traceback" not in err
+
+
+def test_cli_rejects_learning_rate_whose_double_overflows(capsys, tmp_path):
+    rc, err = _cli_trials(capsys, tmp_path, "--lr", "1e308")
+    assert rc == 2
+    assert err == "error: learning_rate must be positive and at most half the largest float\n"
 
 
 def test_cli_rejects_zero_threads(capsys, tmp_path):
