@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkernel import as_factor, pinv, sym_eig
+from .matkernel import pair_residual, pinv, sym_eig
 
 __all__ = [
     "AlphaBeta",
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 GRAM_EIG_CLAMP = 1e-12  # lam_min(X^T X) below this counts as rank deficiency
-RESIDUAL_FLOOR = 1e-12  # minimal allowed ||XX^T - ZZ^T||_F
 
 
 @dataclass(frozen=True)
@@ -87,19 +86,13 @@ def _check_ranks(r: int, r_star: int) -> None:
 
 def alpha_beta(x, z) -> AlphaBeta:
     """Geometric invariants of a factor pair (X, Z)."""
-    x = as_factor(x)
-    z = as_factor(z)
-    if x.shape[0] != z.shape[0]:
-        raise ValueError(
-            f"factors must share their row count, got {x.shape} and {z.shape}"
-        )
-    err = x @ x.T - z @ z.T
-    err_norm = float(np.linalg.norm(err))
-    if err_norm <= RESIDUAL_FLOOR:
-        raise ValueError(
-            "factor pair has identical Gram matrices; the invariants require "
-            "X X^T != Z Z^T"
-        )
+    x, z, err = pair_residual(x, z)
+    # the norm is the square root of a sum of squares, which can overflow
+    # where every entry and the norm itself are finite
+    with np.errstate(over="ignore"):
+        err_norm = float(np.linalg.norm(err))
+    if not math.isfinite(err_norm):
+        raise ValueError("squared residual norm ||X X^T - Z Z^T||_F^2 overflows float64")
     z_perp = z - x @ (pinv(x) @ z)
     outer = z_perp @ z_perp.T
     outer_norm = float(np.linalg.norm(outer))

@@ -50,9 +50,9 @@ from . import serialize
 from .bounds import alpha_beta
 from .counterexample import CounterexampleInstance, eigen_pairs
 from .matkernel import (
-    as_factor,
     as_symmetric,
     jacobian_matrix,
+    pair_residual,
     pinv,
     residual_projector,
     sym_eig,
@@ -136,22 +136,7 @@ def assemble(x, z, which: str) -> CertificateSDP:
     """Realize the data matrices of the ub or lb system at (X, Z)."""
     if which not in ("ub", "lb"):
         raise ValueError(f"which must be 'ub' or 'lb', got {which!r}")
-    x = as_factor(x)
-    z = as_factor(z)
-    if x.shape[0] != z.shape[0]:
-        raise ValueError(
-            f"factors must share their row count, got {x.shape} and {z.shape}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = vec(x @ x.T - z @ z.T)
-    if not np.all(np.isfinite(e)):
-        raise ValueError("residual X X^T - Z Z^T overflows float64")
-    # ||e|| >= max |e_k|: the norm is taken only where it cannot overflow
-    if np.abs(e).max() <= 1e-12 and np.linalg.norm(e) <= 1e-12:
-        raise ValueError(
-            "factor pair has identical Gram matrices; the systems require "
-            "a nonzero residual"
-        )
+    x, z, e = pair_residual(x, z)
     return CertificateSDP(
         n=x.shape[0],
         r=x.shape[1],
@@ -159,7 +144,7 @@ def assemble(x, z, which: str) -> CertificateSDP:
         which=which,
         x=x,
         z=z,
-        e=e,
+        e=vec(e),
         j_x=jacobian_matrix(x),
         j_z=jacobian_matrix(z),
     )
@@ -197,7 +182,7 @@ def verify_ub(cert: CertificateSDP, kappa: float, h, tol: float = DEFAULT_TOL) -
     part (the quadratic form cannot see more), so that part is used here.
     """
     h, residuals = _h_residuals(cert, kappa, h)
-    s_he = as_symmetric(unvec(h @ cert.e, cert.n))
+    s_he = as_symmetric(unvec(h @ cert.e))
     lmi = cert.j_x.T @ h @ cert.j_x + 2.0 * np.kron(np.eye(cert.r), s_he)
     residuals |= {
         "gradient_orthogonality": float(np.linalg.norm(cert.j_x.T @ (h @ cert.e))),
@@ -215,10 +200,10 @@ def verify_lb(
     if s.size != cert.n * cert.n:
         raise ValueError(f"slack must have length {cert.n * cert.n}, got {s.size}")
     combined = h @ cert.e + s
-    s_comb = as_symmetric(unvec(combined, cert.n))
+    s_comb = as_symmetric(unvec(combined))
     lmi = kappa * (cert.j_x.T @ cert.j_x) + 2.0 * np.kron(np.eye(cert.r), s_comb)
     residuals |= {
-        "slack_psd": _min_eig(unvec(s, cert.n)),
+        "slack_psd": _min_eig(unvec(s)),
         "slack_truth_orthogonality": float(np.linalg.norm(cert.j_z.T @ s)),
         "gradient_orthogonality": float(np.linalg.norm(cert.j_x.T @ combined)),
         "hessian_lmi": _min_eig(lmi),
@@ -247,8 +232,7 @@ def cos_theta_witness(x, z, tau: float, tol: float = DEFAULT_TOL):
     Z_perp^T||_F), which is exactly 2 beta).  The achieved objective equals
     ``sqrt(1-tau^2) sqrt(1-alpha^2) + tau alpha``.
     """
-    x = as_factor(x)
-    z = as_factor(z)
+    x, z, e = pair_residual(x, z)
     ab = alpha_beta(x, z)
     tau = float(tau)
     if not 0.0 <= tau <= 1.0:
@@ -260,7 +244,7 @@ def cos_theta_witness(x, z, tau: float, tol: float = DEFAULT_TOL):
         raise ValueError("X must have full column rank")
 
     n, r = x.shape
-    e = vec(x @ x.T - z @ z.T)
+    e = vec(e)
     e_norm = float(np.linalg.norm(e))
     j = jacobian_matrix(x)
     j_pinv = pinv(j)
@@ -295,7 +279,7 @@ def cos_theta_witness(x, z, tau: float, tol: float = DEFAULT_TOL):
     residuals = {
         "pairing_normalization": abs(e_norm * float(np.linalg.norm(f)) - 1.0),
         "witness_psd": _min_eig(w),
-        "projected_alignment_psd": _min_eig(proj @ as_symmetric(unvec(f, n)) @ proj),
+        "projected_alignment_psd": _min_eig(proj @ as_symmetric(unvec(f)) @ proj),
         "jacobian_energy_deviation": abs(
             float(np.vdot(j.T @ j, w)) - 2.0 * tau * ab.beta
         ),

@@ -23,6 +23,7 @@ __all__ = [
     "pinv",
     "vec",
     "unvec",
+    "pair_residual",
     "jacobian_apply",
     "jacobian_matrix",
     "residual_projector",
@@ -31,6 +32,10 @@ __all__ = [
 # Singular values below PINV_TOL_SCALE * max(rows, cols) * sigma_max are
 # treated as zero when forming a pseudo-inverse.
 PINV_TOL_SCALE = 1e-10
+
+# A factor pair whose residual X X^T - Z Z^T has Frobenius norm at most this
+# has identical Gram matrices.
+RESIDUAL_FLOOR = 1e-12
 
 
 def as_symmetric(s) -> np.ndarray:
@@ -83,14 +88,36 @@ def vec(m) -> np.ndarray:
     return np.asarray(m, dtype=float).flatten(order="F")
 
 
-def unvec(x, n: int | None = None) -> np.ndarray:
+def unvec(x) -> np.ndarray:
     """Inverse of :func:`vec` for a square matrix."""
     x = np.asarray(x, dtype=float)
-    if n is None:
-        n = int(round(np.sqrt(x.size)))
+    n = int(round(np.sqrt(x.size)))
     if n * n != x.size:
         raise ValueError(f"cannot reshape length-{x.size} vector to a square matrix")
     return x.reshape((n, n), order="F")
+
+
+def pair_residual(x, z):
+    """Validated factors ``(X, Z)`` of a pair and their residual ``X X^T - Z Z^T``.
+
+    Rejects factors with different row counts, a residual that overflows
+    float64 and a pair with identical Gram matrices (residual norm at most
+    ``RESIDUAL_FLOOR``).
+    """
+    x = as_factor(x)
+    z = as_factor(z)
+    if x.shape[0] != z.shape[0]:
+        raise ValueError(
+            f"factors must share their row count, got {x.shape} and {z.shape}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = x @ x.T - z @ z.T
+    if not np.all(np.isfinite(e)):
+        raise ValueError("residual X X^T - Z Z^T overflows float64")
+    # ||e|| >= max |e_ij|: the norm is taken only where it cannot overflow
+    if np.abs(e).max() <= RESIDUAL_FLOOR and np.linalg.norm(e) <= RESIDUAL_FLOOR:
+        raise ValueError("factor pair has identical Gram matrices X X^T = Z Z^T")
+    return x, z, e
 
 
 def jacobian_apply(x, v) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bmlandscape import bounds
+from bmlandscape import bounds, certificates, counterexample
 
 SEED = 47101
 
@@ -57,15 +57,29 @@ def test_alpha_beta_agrees_with_rank1_formulas(rho, sin_phi):
     assert abs(from_mats.beta - from_form.beta) <= 1e-12
 
 
+# the invariants and the certificate systems check a pair with one function
+PAIR_CALLERS = (bounds.alpha_beta, lambda x, z: certificates.assemble(x, z, "ub"))
+
+
 def test_alpha_beta_rejects_identical_grams():
     x = np.eye(3)[:, :2]
-    with pytest.raises(ValueError, match="identical Gram"):
-        bounds.alpha_beta(x, x.copy())
+    for caller in PAIR_CALLERS:
+        with pytest.raises(ValueError, match="identical Gram matrices"):
+            caller(x, x.copy())
 
 
 def test_alpha_beta_rejects_row_mismatch():
-    with pytest.raises(ValueError):
-        bounds.alpha_beta(np.ones((3, 1)), np.ones((4, 1)))
+    for caller in PAIR_CALLERS:
+        with pytest.raises(ValueError, match="factors must share their row count"):
+            caller(np.ones((3, 1)), np.ones((4, 1)))
+
+
+def test_alpha_beta_rejects_overflowing_residual_norm():
+    # every entry of X X^T - Z Z^T and its norm (about 1e200) are finite,
+    # its squared norm is not; a RuntimeWarning on the way fails the test
+    inst = counterexample.build(4, 2, 1)
+    with pytest.raises(ValueError, match=r"squared residual norm \|\|X X\^T - Z Z\^T\|\|_F\^2 overflows"):
+        bounds.alpha_beta(1e100 * inst.x_spur, inst.z)
 
 
 def test_alpha_beta_degenerate_when_truth_in_span():

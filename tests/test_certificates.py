@@ -46,11 +46,11 @@ def test_assemble_shapes_and_residual():
 
 def test_assemble_validation():
     x = np.eye(3)[:, :2]
-    with pytest.raises(ValueError):
-        certs.assemble(x, x, "ub")  # identical Gram matrices
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="identical Gram matrices"):
+        certs.assemble(x, x, "ub")
+    with pytest.raises(ValueError, match="factors must share their row count"):
         certs.assemble(x, np.ones((4, 1)), "ub")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="which must be"):
         certs.assemble(x, np.ones((3, 1)), "middle")
 
 

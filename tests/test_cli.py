@@ -500,6 +500,21 @@ def test_bounds_rejects_non_finite_beta(capsys, beta):
     assert err.startswith("error: beta must be finite")
 
 
+def test_bounds_overflowing_residual_norm_is_input_error(capsys, tmp_path):
+    # the record loads (x_spur x_spur^T is finite) but ||X X^T - Z Z^T||_F^2
+    # is not; a RuntimeWarning on the way fails the test
+    path = build_instance(capsys, tmp_path, n=4, r=2, rstar=1)
+    record = json.loads(path.read_text())
+    record["x_spur"] = [[1e100 * v for v in row] for row in record["x_spur"]]
+    path.write_text(json.dumps(record))
+    report = tmp_path / "bounds.json"
+    rc, out, err = run(capsys, "bounds", "--instance", str(path), "--out", str(report))
+    assert rc == 2 and out == ""
+    assert err == "error: squared residual norm ||X X^T - Z Z^T||_F^2 overflows float64\n"
+    assert "RuntimeWarning" not in err
+    assert not report.exists()
+
+
 def test_bounds_flag_conflicts(capsys, tmp_path):
     path = build_instance(capsys, tmp_path)
     rc, _, err = run(

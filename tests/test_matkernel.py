@@ -6,6 +6,7 @@ from bmlandscape.matkernel import (
     as_symmetric,
     jacobian_apply,
     jacobian_matrix,
+    pair_residual,
     pinv,
     residual_projector,
     sym_eig,
@@ -129,6 +130,21 @@ def test_vec_is_column_stacking():
 def test_unvec_rejects_non_square_length():
     with pytest.raises(ValueError):
         unvec(np.arange(6, dtype=float))
+
+
+def test_pair_residual_returns_checked_factors_and_residual():
+    rng = np.random.default_rng(RNG_SEED + 1)
+    x = rng.standard_normal((4, 2))
+    z = rng.standard_normal((4, 3))
+    xc, zc, e = pair_residual(x.tolist(), z)
+    assert np.array_equal(xc, x) and np.array_equal(zc, z)
+    assert np.array_equal(e, x @ x.T - z @ z.T)
+    # a residual of norm 4e-12 is kept, one of norm 2.5e-13 is not
+    assert pair_residual([[2e-6]], [[0.0]])[2][0, 0] > 0.0
+    with pytest.raises(ValueError, match="identical Gram matrices"):
+        pair_residual([[5e-7]], [[0.0]])
+    with pytest.raises(ValueError, match="residual X X\\^T - Z Z\\^T overflows float64"):
+        pair_residual(1e160 * x, z)
 
 
 @pytest.mark.parametrize("n,r", CASES)

@@ -178,23 +178,6 @@ def test_batched_kernels_equal_their_batch_of_one(b):
         assert np.array_equal(g[t], obj.f_grad(x[t]))
 
 
-def test_batched_kernels_write_the_same_bits_into_out():
-    # the trial engine writes into contiguous slices of its window buffers
-    obj, rng = make_objective(5, 2, 25, SEED + 31)
-    x = rng.standard_normal((7, 5, 4))
-    e = obj.residuals(x)
-    s = obj.apply_gram(e)
-    g = obj.grads(x, s)
-    e_buf, s_buf, g_buf = np.empty((3, 7, 5, 5)), np.empty((3, 7, 5, 5)), np.empty((2, 7, 5, 4))
-    e_out, s_out, g_out = e_buf[1], s_buf[2], g_buf[1]
-    assert obj.residuals(x, out=e_out) is e_out
-    assert obj.apply_gram(e_out, out=s_out) is s_out
-    assert obj.grads(x, s_out, out=g_out) is g_out
-    assert np.array_equal(e_out, e) and np.array_equal(s_out, s) and np.array_equal(g_out, g)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        obj.apply_gram(e, out=np.empty((5, 5, 7)).transpose(2, 0, 1))
-
-
 # -- smoothness bounds -----------------------------------------------------------
 
 
