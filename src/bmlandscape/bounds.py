@@ -136,18 +136,15 @@ def kappa_lb_closed_form(ab: AlphaBeta) -> BoundEvaluation:
     beta = float(ab.beta)
     if alpha <= 0.0:
         raise ValueError("alpha must be positive for a non-degenerate pair")
+    g = gamma(alpha, beta)
     if _branch_is_first(alpha, beta):
-        s = math.sqrt(max(0.0, 1.0 - alpha * alpha))
-        value = math.inf if s >= 1.0 else (1.0 + s) / (1.0 - s)
-        return BoundEvaluation(kappa_lb=value, branch="first", t_opt=0.0, gamma_value=s)
+        value = math.inf if g >= 1.0 else (1.0 + g) / (1.0 - g)
+        return BoundEvaluation(kappa_lb=value, branch="first", t_opt=0.0, gamma_value=g)
     value = math.inf
     if beta > 0.0:
         value = (1.0 - alpha * beta) / ((alpha - beta) * beta)
     return BoundEvaluation(
-        kappa_lb=value,
-        branch="second",
-        t_opt=_t_opt_second(alpha, beta),
-        gamma_value=gamma(alpha, beta),
+        kappa_lb=value, branch="second", t_opt=_t_opt_second(alpha, beta), gamma_value=g
     )
 
 
@@ -164,8 +161,6 @@ def gamma(alpha: float, beta: float) -> float:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     if _branch_is_first(alpha, beta):
         return math.sqrt(max(0.0, 1.0 - alpha * alpha))
-    if beta >= 1.0:
-        raise ValueError("beta >= 1 is outside the second branch's domain")
     return (1.0 - 2.0 * alpha * beta + beta * beta) / (1.0 - beta * beta)
 
 

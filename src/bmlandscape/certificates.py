@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .bounds import alpha_beta
+from .bounds import GRAM_EIG_CLAMP, alpha_beta
 from .counterexample import CounterexampleInstance, eigen_pairs
 from .matkernel import (
     as_symmetric,
@@ -116,8 +116,6 @@ class FeasibilityReport:
     least ``-tol``.
     """
 
-    kappa: float
-    which: str
     residuals: dict
     tol: float
 
@@ -182,13 +180,13 @@ def verify_ub(cert: CertificateSDP, kappa: float, h, tol: float = DEFAULT_TOL) -
     part (the quadratic form cannot see more), so that part is used here.
     """
     h, residuals = _h_residuals(cert, kappa, h)
-    s_he = as_symmetric(unvec(h @ cert.e))
-    lmi = cert.j_x.T @ h @ cert.j_x + 2.0 * np.kron(np.eye(cert.r), s_he)
+    he = h @ cert.e
+    lmi = cert.j_x.T @ h @ cert.j_x + 2.0 * np.kron(np.eye(cert.r), as_symmetric(unvec(he)))
     residuals |= {
-        "gradient_orthogonality": float(np.linalg.norm(cert.j_x.T @ (h @ cert.e))),
+        "gradient_orthogonality": float(np.linalg.norm(cert.j_x.T @ he)),
         "hessian_lmi": _min_eig(lmi),
     }
-    return FeasibilityReport(kappa=float(kappa), which="ub", residuals=residuals, tol=tol)
+    return FeasibilityReport(residuals=residuals, tol=tol)
 
 
 def verify_lb(
@@ -208,7 +206,7 @@ def verify_lb(
         "gradient_orthogonality": float(np.linalg.norm(cert.j_x.T @ combined)),
         "hessian_lmi": _min_eig(lmi),
     }
-    return FeasibilityReport(kappa=float(kappa), which="lb", residuals=residuals, tol=tol)
+    return FeasibilityReport(residuals=residuals, tol=tol)
 
 
 def eigen_equations(instance: CounterexampleInstance, h) -> list[float]:
@@ -240,7 +238,7 @@ def cos_theta_witness(x, z, tau: float, tol: float = DEFAULT_TOL):
     if tau > ab.alpha + 1e-12:
         raise ValueError(f"tau must not exceed alpha = {ab.alpha}, got {tau}")
     gram_eigs, gram_vecs = sym_eig(x.T @ x)
-    if gram_eigs[-1] <= 1e-12:
+    if gram_eigs[-1] <= GRAM_EIG_CLAMP:
         raise ValueError("X must have full column rank")
 
     n, r = x.shape
@@ -285,10 +283,7 @@ def cos_theta_witness(x, z, tau: float, tol: float = DEFAULT_TOL):
         ),
         "objective_deviation": abs(objective - expected),
     }
-    report = FeasibilityReport(
-        kappa=math.nan, which="witness", residuals=residuals, tol=tol
-    )
-    return objective, report
+    return objective, FeasibilityReport(residuals=residuals, tol=tol)
 
 
 # -- SDPA sparse export -------------------------------------------------

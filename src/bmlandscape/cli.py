@@ -50,10 +50,6 @@ KAPPA_RTOL = 1e-9
 _TRIAL_FIELDS = {f.name: f for f in dataclasses.fields(dynamics.TrialConfig)[1:]}
 
 
-class InputError(Exception):
-    """A problem with user-supplied files or flag values (exit code 2)."""
-
-
 def _timestamp():
     raw = os.environ.get("SOURCE_DATE_EPOCH")
     if raw is None:
@@ -61,7 +57,7 @@ def _timestamp():
     try:
         return int(raw)
     except ValueError as exc:
-        raise InputError(f"SOURCE_DATE_EPOCH must be an integer, got {raw!r}") from exc
+        raise ValueError(f"SOURCE_DATE_EPOCH must be an integer, got {raw!r}") from exc
 
 
 def _manifest(subcommand: str, parameters: dict, inputs: dict, outputs: dict) -> dict:
@@ -83,15 +79,15 @@ def _load_instance(path: str) -> counterexample.CounterexampleInstance:
     try:
         obj = serialize.load_json(path)
     except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return counterexample.CounterexampleInstance.from_obj(obj)
     except KeyError as exc:
-        raise InputError(f"{path}: record is missing field {exc}") from exc
+        raise ValueError(f"{path}: record is missing field {exc}") from exc
     except (ValueError, TypeError, OverflowError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _emit(obj: dict, out_path: str | None) -> None:
@@ -107,9 +103,9 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise InputError(f"{flag} expects comma-separated reals, got {text!r}") from exc
+        raise ValueError(f"{flag} expects comma-separated reals, got {text!r}") from exc
     if not values:
-        raise InputError(f"{flag} expects at least one value")
+        raise ValueError(f"{flag} expects at least one value")
     return values
 
 
@@ -177,7 +173,9 @@ def _cmd_verify(args) -> int:
 def _cmd_bounds(args) -> int:
     if args.instance is not None:
         if args.alpha is not None or args.beta is not None:
-            raise InputError("give either --instance or --alpha/--beta, not both")
+            raise ValueError("give either --instance or --alpha/--beta, not both")
+        if args.r is not None or args.rstar is not None:
+            raise ValueError("--r/--rstar go with --alpha/--beta, not --instance")
         inst = _load_instance(args.instance)
         ab = bounds.alpha_beta(inst.x_spur, inst.z)
         r, r_star = inst.r, inst.r_star
@@ -185,9 +183,9 @@ def _cmd_bounds(args) -> int:
         parameters = {}
     else:
         if args.alpha is None or args.beta is None:
-            raise InputError("provide either --instance or both --alpha and --beta")
+            raise ValueError("provide either --instance or both --alpha and --beta")
         if (args.r is None) != (args.rstar is None):
-            raise InputError("--r and --rstar must be given together")
+            raise ValueError("--r and --rstar must be given together")
         ab = bounds.AlphaBeta(alpha=args.alpha, beta=args.beta)
         r, r_star = args.r, args.rstar
         inputs = {}
@@ -221,11 +219,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_trials(args) -> int:
     inst = _load_instance(args.instance)
     values = {name: getattr(args, name) for name in _TRIAL_FIELDS}
-    try:
-        cfg = dynamics.TrialConfig(instance=inst, **values)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    report = dynamics.run_trials(cfg)
+    report = dynamics.run_trials(dynamics.TrialConfig(instance=inst, **values))
     # artifacts name master_seed "seed" in the manifest, as the flag does
     parameters = {("seed" if k == "master_seed" else k): v for k, v in values.items()}
     manifest = _manifest(
@@ -375,6 +369,6 @@ def main(argv=None) -> int:
         )
         print(f"error: {args.command} {sizes}: {exc}", file=sys.stderr)
         return 2
-    except (InputError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,6 +52,7 @@ import numpy as np
 
 from . import serialize
 from .counterexample import CounterexampleInstance
+from .matkernel import as_factor
 
 __all__ = [
     "CSV_HEADER",
@@ -168,11 +169,7 @@ def sample_near(x_center, radius, seed):
     uniform over the ball.  ``seed`` may be an integer, a ``SeedSequence`` or
     an existing ``Generator``; integers seed a fresh PCG64 stream.
     """
-    center = np.asarray(x_center, dtype=float)
-    if center.ndim != 2:
-        raise ValueError("center must be a matrix")
-    if not np.all(np.isfinite(center)):
-        raise ValueError("center entries must be finite")
+    center = as_factor(x_center)
     if not 0.0 < radius < np.inf:
         raise ValueError("radius must be positive and finite")
     rng = np.random.default_rng(seed)

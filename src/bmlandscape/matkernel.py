@@ -75,11 +75,7 @@ def pinv(a) -> np.ndarray:
     largest singular value are treated as zero, so the zero matrix maps to
     the zero matrix.
     """
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("pinv expects a 2-d array")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("pinv input must be finite")
+    m = as_factor(a)
     return np.linalg.pinv(m, rcond=PINV_TOL_SCALE * max(m.shape))
 
 

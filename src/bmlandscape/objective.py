@@ -29,6 +29,7 @@ as well.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,7 +121,6 @@ class QuadraticObjective:
         if not np.all(np.isfinite(m_star)):
             raise ValueError("ground-truth Gram matrix Z Z^T overflows float64")
         self.m_star = m_star
-        self._gram_sym = None
 
     # -- batched kernels -------------------------------------------------
     #
@@ -161,16 +161,14 @@ class QuadraticObjective:
 
     # -- curvature -----------------------------------------------------
 
-    @property
+    @functools.cached_property
     def gram_symmetric(self) -> np.ndarray:
         """n^2 x n^2 matrix G with G vec(E) = vec(hessian-of-phi applied to E)."""
-        if self._gram_sym is None:
-            stack = self.measurements
-            sym = 0.5 * (stack + stack.transpose(0, 2, 1))
-            flat = sym.reshape(len(sym), -1, order="C")
-            # vec is column-stacking, but each A is symmetric so order is moot
-            self._gram_sym = flat.T @ flat
-        return self._gram_sym
+        stack = self.measurements
+        sym = 0.5 * (stack + stack.transpose(0, 2, 1))
+        flat = sym.reshape(len(sym), -1, order="C")
+        # vec is column-stacking, but each A is symmetric so order is moot
+        return flat.T @ flat
 
     def measurement_gram(self) -> np.ndarray:
         """Gram matrix sum_k vec(A_k) vec(A_k)^T of the *raw* measurements."""
@@ -248,7 +246,8 @@ class QuadraticObjective:
 
     def check_second_order(self, x, tol: float = STATIONARY_TOL) -> SecondOrderReport:
         """Evaluate first/second-order stationarity of f at X."""
-        x = self._check_factor(x)
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"tol must be finite and nonnegative, got {tol}")
         value = self.f_eval(x)
         grad_norm = float(np.linalg.norm(self.f_grad(x)))
         w, _ = sym_eig(self.f_hess_matrix(x))

@@ -57,6 +57,21 @@ def test_alpha_beta_agrees_with_rank1_formulas(rho, sin_phi):
     assert abs(from_mats.beta - from_form.beta) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "rho,sin_phi,message",
+    [
+        (0.0, 0.5, "rho must be positive"),
+        (-1.0, 0.5, "rho must be positive"),
+        (1.0, -0.1, "sin_phi must lie in"),
+        (1.0, 1.5, "sin_phi must lie in"),
+        (1.0, 0.0, "makes x x\\^T = z z\\^T"),
+    ],
+)
+def test_rank1_invariants_validation(rho, sin_phi, message):
+    with pytest.raises(ValueError, match=message):
+        bounds.rank1_invariants(rho, sin_phi)
+
+
 # the invariants and the certificate systems check a pair with one function
 PAIR_CALLERS = (bounds.alpha_beta, lambda x, z: certificates.assemble(x, z, "ub"))
 
@@ -178,6 +193,9 @@ def test_cos_theta_lb_endpoints():
         bounds.cos_theta_lb(a, b, a * b + 1e-6)
     with pytest.raises(ValueError):
         bounds.cos_theta_lb(a, b, -1e-6)
+    for beta in (0.0, -0.5):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            bounds.cos_theta_lb(a, beta, 0.0)
 
 
 def test_cos_theta_lb_is_nondecreasing_in_t():

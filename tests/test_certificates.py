@@ -88,7 +88,6 @@ def test_verify_ub_certifies_built_instances(n, r, rs):
     cert = certs.assemble(inst.x_spur, inst.z, "ub")
     report = certs.verify_ub(cert, inst.kappa, h)
     assert report.feasible
-    assert report.which == "ub"
     assert max(abs(v) for v in report.residuals.values()) <= 1e-8
 
 
@@ -164,15 +163,11 @@ def test_verify_residuals_pinned():
 def test_feasibility_report_sign_conventions():
     # norm-type residuals fail when above tol, eigenvalue-type below -tol
     rep = certs.FeasibilityReport(
-        kappa=2.0,
-        which="ub",
         residuals={"gradient_orthogonality": 5e-9, "hessian_lmi": -5e-9},
         tol=1e-8,
     )
     assert rep.feasible
     rep2 = certs.FeasibilityReport(
-        kappa=2.0,
-        which="ub",
         residuals={"gradient_orthogonality": 2e-8, "hessian_lmi": 0.0},
         tol=1e-8,
     )
@@ -228,6 +223,13 @@ def test_witness_validation():
         certs.cos_theta_witness(inst.x_spur, inst.z, -0.1)
     with pytest.raises(ValueError):
         certs.cos_theta_witness(np.zeros((4, 2)), inst.z, 0.0)
+    e1, e2 = np.eye(2)[:, :1], np.eye(2)
+    # the residual -e2 e2^T is orthogonal to the range of J_X
+    with pytest.raises(ValueError, match="no component along the factor's range"):
+        certs.cos_theta_witness(e1, e2, 0.5)
+    # Z = 2 e1 lies in range(X), so alpha = 0 and tau > 0 has no witness
+    with pytest.raises(ValueError, match="requires Z to leave the range of X"):
+        certs.cos_theta_witness(e1, 2.0 * e1, 1e-13)
 
 
 # -- SDPA export -----------------------------------------------------------------------
@@ -447,6 +449,10 @@ def test_parse_sdpa_rejects_malformed():
         certs.parse_sdpa("2\n1\n4\n1.0 -1.0\n1.5 1 1 1 2.0\n")  # non-integer index
     with pytest.raises(ValueError):
         certs.parse_sdpa("2\n3\n4\n1.0 -1.0\n")  # block count mismatch
+    with pytest.raises(ValueError, match="ends inside its header"):
+        certs.parse_sdpa("* comment\n2\n1\n4\n")  # no objective line
+    with pytest.raises(ValueError, match="objective length does not match"):
+        certs.parse_sdpa("2\n1\n4\n1.0 -1.0 0.0\n")
 
 
 def _dense_blocks(parsed, var):

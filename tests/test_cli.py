@@ -5,11 +5,14 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bmlandscape
 from bmlandscape import __version__, certificates, counterexample
 from bmlandscape.cli import main
 
@@ -40,6 +43,28 @@ def test_version_flag(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert capsys.readouterr().out.strip() == __version__
+
+
+def run_module(*argv):
+    """Run ``python -m bmlandscape`` in a fresh interpreter."""
+    path = [os.path.dirname(os.path.dirname(bmlandscape.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, "-m", "bmlandscape", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_module_entry_point_prints_version():
+    proc = run_module("--version")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.strip() == __version__
+
+
+def test_module_entry_point_reports_bad_input_once(tmp_path):
+    proc = run_module("verify", "--instance", str(tmp_path / "missing.json"))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -118,6 +143,26 @@ def test_verify_random_basis_n10_passes_without_warnings(capsys, tmp_path):
     rc, out, err = run(capsys, "verify", "--instance", str(path))
     assert rc == 0 and err == ""
     assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+def test_verify_rejects_invalid_tol(capsys, tmp_path, tol):
+    path = build_instance(capsys, tmp_path)
+    report = tmp_path / "report.json"
+    rc, out, err = run(capsys, "verify", "--instance", str(path), f"--tol={tol}", "--out", str(report))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: tol must be finite and nonnegative") and err.count("\n") == 1
+    assert not report.exists()
+
+
+def test_verify_accepts_zero_tol(capsys, tmp_path):
+    # a valid tolerance the built point does not meet: the checks run and fail
+    path = build_instance(capsys, tmp_path)
+    rc, out, err = run(capsys, "verify", "--instance", str(path), "--tol", "0")
+    assert rc == 1 and err == ""
+    record = json.loads(out)
+    assert record["manifest"]["parameters"] == {"tol": 0.0}
+    assert record["report"]["grad_tol"] == 0.0 and record["passed"] is False
 
 
 def test_verify_fails_on_tampered_instance(capsys, tmp_path):
@@ -525,6 +570,17 @@ def test_bounds_flag_conflicts(capsys, tmp_path):
     assert rc == 2 and "both --alpha and --beta" in err
     rc, _, err = run(capsys, "bounds", "--alpha", "0.5", "--beta", "0.5", "--r", "3")
     assert rc == 2 and "together" in err
+
+
+@pytest.mark.parametrize("ranks", [["--r", "9", "--rstar", "1"], ["--r", "9"], ["--rstar", "1"]])
+def test_bounds_rejects_ranks_with_instance(capsys, tmp_path, ranks):
+    # the instance sets its own ranks; --r/--rstar would be ignored
+    path = build_instance(capsys, tmp_path)
+    report = tmp_path / "bounds.json"
+    rc, out, err = run(capsys, "bounds", "--instance", str(path), *ranks, "--out", str(report))
+    assert rc == 2 and out == ""
+    assert err == "error: --r/--rstar go with --alpha/--beta, not --instance\n"
+    assert not report.exists()
 
 
 # -- ey ------------------------------------------------------------------------

@@ -171,6 +171,13 @@ def test_jacobian_matrix_columns_equal_apply_on_unit_directions(n, r):
             assert np.array_equal(j[:, c * n + i], vec(jacobian_apply(x, e_ic)))
 
 
+def test_jacobian_apply_rejects_shape_mismatch():
+    x = np.ones((3, 2))
+    for v in (np.ones((3, 1)), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="direction shape"):
+            jacobian_apply(x, v)
+
+
 def test_jacobian_is_first_order_exact():
     # X -> XX^T is quadratic: finite difference equals the Jacobian exactly
     rng = np.random.default_rng(2)

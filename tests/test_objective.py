@@ -303,6 +303,14 @@ def test_check_second_order_flags_nonstationary_point():
     }
 
 
+@pytest.mark.parametrize("tol", [-1e-9, -np.inf, np.inf, np.nan])
+def test_check_second_order_rejects_invalid_tol(tol):
+    obj, _ = make_objective(4, 2, 20, SEED + 17)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        obj.check_second_order(obj.ground_truth, tol=tol)
+    assert obj.check_second_order(obj.ground_truth, tol=0.0).tol == 0.0
+
+
 def test_overflowing_factor_is_value_error():
     # X X^T overflows float64; the einsum kernels raise no floating-point
     # warning, so without a check f, its gradient, the Hessian's quadratic

@@ -87,6 +87,10 @@ def test_matrix_round_trip():
     assert rows == [[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0], [8.0, 9.0, 10.0, 11.0]]
     back = serialize.matrix_from_lists(rows)
     assert np.array_equal(back, m)
+    with pytest.raises(ValueError, match="expected a 2-d array"):
+        serialize.matrix_to_lists(np.arange(3.0))
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        serialize.matrix_to_lists(np.array([[1.0, np.inf]]))
 
 
 def test_matrix_from_lists_rejects_ragged_and_nonfinite():
