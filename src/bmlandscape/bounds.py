@@ -140,9 +140,9 @@ def kappa_lb_closed_form(ab: AlphaBeta) -> BoundEvaluation:
     if _branch_is_first(alpha, beta):
         value = math.inf if g >= 1.0 else (1.0 + g) / (1.0 - g)
         return BoundEvaluation(kappa_lb=value, branch="first", t_opt=0.0, gamma_value=g)
-    value = math.inf
-    if beta > 0.0:
-        value = (1.0 - alpha * beta) / ((alpha - beta) * beta)
+    # a zero denominator (beta = 0 or an underflow) gets IEEE division's inf
+    denom = (alpha - beta) * beta
+    value = (1.0 - alpha * beta) / denom if denom > 0.0 else math.inf
     return BoundEvaluation(
         kappa_lb=value, branch="second", t_opt=_t_opt_second(alpha, beta), gamma_value=g
     )
@@ -224,14 +224,8 @@ def rank1_invariants(rho: float, sin_phi: float) -> AlphaBeta:
     rho2 = rho * rho
     sin2 = sin_phi * sin_phi
     err_norm = math.sqrt((1.0 - rho2) ** 2 + 2.0 * rho2 * sin2)
-    z_perp = np.array([[0.0], [sin_phi]])
     alpha = _check_unit(sin2 / err_norm)
-    return AlphaBeta(
-        alpha=alpha,
-        beta=rho2 / err_norm,
-        z_perp=z_perp,
-        degenerate=sin_phi == 0.0,
-    )
+    return AlphaBeta(alpha=alpha, beta=rho2 / err_norm, degenerate=sin_phi == 0.0)
 
 
 def thresholds(r: int, r_star: int) -> tuple[float, float]:

@@ -73,14 +73,14 @@ __all__ = [
     "parse_sdpa",
 ]
 
-DEFAULT_TOL = 1e-8
+FEASIBILITY_TOL = 1e-8
 
 # export_sdpa renders and writes the entry lines this many at a time (about
 # 150 KB of text per write).
 SDPA_WRITE_LINES = 1 << 12
 
-# Residual names measured as norms (feasible iff <= tol); all other
-# residuals are smallest eigenvalues (feasible iff >= -tol).
+# Residual names measured as norms (feasible iff <= FEASIBILITY_TOL); all
+# other residuals are smallest eigenvalues (feasible iff >= -FEASIBILITY_TOL).
 NORM_RESIDUALS = frozenset(
     {
         "gradient_orthogonality",
@@ -100,8 +100,6 @@ class CertificateSDP:
     r: int
     r_star: int
     which: str  # "ub" | "lb"
-    x: np.ndarray
-    z: np.ndarray
     e: np.ndarray  # vec(X X^T - Z Z^T), length n^2
     j_x: np.ndarray  # n^2 x (n r)
     j_z: np.ndarray  # n^2 x (n r_star)
@@ -112,20 +110,19 @@ class FeasibilityReport:
     """Named residuals of one certificate check.
 
     Entries listed in ``NORM_RESIDUALS`` are norms and pass when at most
-    ``tol``; every other entry is a smallest eigenvalue and passes when at
-    least ``-tol``.
+    ``FEASIBILITY_TOL``; every other entry is a smallest eigenvalue and
+    passes when at least ``-FEASIBILITY_TOL``.
     """
 
     residuals: dict
-    tol: float
 
     @property
     def feasible(self) -> bool:
         for name, value in self.residuals.items():
             if name in NORM_RESIDUALS:
-                if value > self.tol:
+                if value > FEASIBILITY_TOL:
                     return False
-            elif value < -self.tol:
+            elif value < -FEASIBILITY_TOL:
                 return False
         return True
 
@@ -140,8 +137,6 @@ def assemble(x, z, which: str) -> CertificateSDP:
         r=x.shape[1],
         r_star=z.shape[1],
         which=which,
-        x=x,
-        z=z,
         e=vec(e),
         j_x=jacobian_matrix(x),
         j_z=jacobian_matrix(z),
@@ -173,7 +168,7 @@ def _h_residuals(cert: CertificateSDP, kappa: float, h) -> tuple[np.ndarray, dic
     }
 
 
-def verify_ub(cert: CertificateSDP, kappa: float, h, tol: float = DEFAULT_TOL) -> FeasibilityReport:
+def verify_ub(cert: CertificateSDP, kappa: float, h) -> FeasibilityReport:
     """Check (kappa, H) against the ub system; returns all four residuals.
 
     ``mat(H e)`` enters the matrix inequality only through its symmetric
@@ -186,12 +181,10 @@ def verify_ub(cert: CertificateSDP, kappa: float, h, tol: float = DEFAULT_TOL) -
         "gradient_orthogonality": float(np.linalg.norm(cert.j_x.T @ he)),
         "hessian_lmi": _min_eig(lmi),
     }
-    return FeasibilityReport(residuals=residuals, tol=tol)
+    return FeasibilityReport(residuals=residuals)
 
 
-def verify_lb(
-    cert: CertificateSDP, kappa: float, h, s, tol: float = DEFAULT_TOL
-) -> FeasibilityReport:
+def verify_lb(cert: CertificateSDP, kappa: float, h, s) -> FeasibilityReport:
     """Check (kappa, H, s) against the lb system's five constraint groups."""
     h, residuals = _h_residuals(cert, kappa, h)
     s = np.asarray(s, dtype=float).reshape(-1)
@@ -206,7 +199,7 @@ def verify_lb(
         "gradient_orthogonality": float(np.linalg.norm(cert.j_x.T @ combined)),
         "hessian_lmi": _min_eig(lmi),
     }
-    return FeasibilityReport(residuals=residuals, tol=tol)
+    return FeasibilityReport(residuals=residuals)
 
 
 def eigen_equations(instance: CounterexampleInstance, h) -> list[float]:
@@ -219,7 +212,7 @@ def eigen_equations(instance: CounterexampleInstance, h) -> list[float]:
     return out
 
 
-def cos_theta_witness(x, z, tau: float, tol: float = DEFAULT_TOL):
+def cos_theta_witness(x, z, tau: float):
     """Dual alignment witness at parameter tau; returns (objective, report).
 
     Builds ``y = gamma_1 J_X^+ e`` and the PSD combination ``W`` over the
@@ -245,15 +238,15 @@ def cos_theta_witness(x, z, tau: float, tol: float = DEFAULT_TOL):
     e = vec(e)
     e_norm = float(np.linalg.norm(e))
     j = jacobian_matrix(x)
-    j_pinv = pinv(j)
-    e1 = j @ (j_pinv @ e)
+    j_pinv_e = pinv(j) @ e
+    e1 = j @ j_pinv_e
     e1_norm = float(np.linalg.norm(e1))
     if e1_norm <= 1e-14 and tau < 1.0:
         raise ValueError("residual has no component along the factor's range")
 
     y = np.zeros(n * r) if tau >= 1.0 else (
         math.sqrt(1.0 - tau * tau) / (e_norm * e1_norm)
-    ) * (j_pinv @ e)
+    ) * j_pinv_e
 
     w = np.zeros((n * r, n * r))
     if tau > 0.0:
@@ -283,7 +276,7 @@ def cos_theta_witness(x, z, tau: float, tol: float = DEFAULT_TOL):
         ),
         "objective_deviation": abs(objective - expected),
     }
-    return objective, FeasibilityReport(residuals=residuals, tol=tol)
+    return objective, FeasibilityReport(residuals=residuals)
 
 
 # -- SDPA sparse export -------------------------------------------------

@@ -140,8 +140,7 @@ def _cmd_verify(args) -> int:
     gap_formula = counterexample.spurious_gap(inst.q)
     mu, big = inst.objective.smoothness_bounds()
     checks = {
-        "first_order": report.grad_norm <= args.tol,
-        "second_order": report.hess_min_eig >= -args.tol,
+        **report.checks,
         "gap_matches_formula": abs(report.objective_value - gap_formula) <= args.tol,
         "gap_exceeds_mu": report.objective_value > 1.0,
         "kappa_matches_spectrum": abs(inst.kappa - big / mu) <= KAPPA_RTOL * big / mu,

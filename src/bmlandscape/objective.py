@@ -78,8 +78,12 @@ class SecondOrderReport:
     tol: float
 
     @property
+    def checks(self) -> dict:
+        return {"first_order": self.grad_norm <= self.tol, "second_order": self.hess_min_eig >= -self.tol}
+
+    @property
     def passed(self) -> bool:
-        return self.grad_norm <= self.tol and self.hess_min_eig >= -self.tol
+        return all(self.checks.values())
 
     def to_obj(self) -> dict:
         return {

@@ -142,6 +142,16 @@ def test_kappa_lb_second_branch_frozen_value():
     assert abs(ev.kappa_lb - 0.92 / 0.07) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha,beta", [(1e-160, 1e-170), (1e-155, 1e-160)])
+def test_kappa_lb_second_branch_tiny_denominator_is_infinite(alpha, beta):
+    # (alpha - beta) * beta underflows to zero, or to a subnormal; both give
+    # the inf that IEEE division gives, in line with gamma = 1
+    ev = bounds.kappa_lb_closed_form(bounds.AlphaBeta(alpha=alpha, beta=beta))
+    assert ev.branch == "second"
+    assert ev.kappa_lb == math.inf
+    assert ev.gamma_value == 1.0
+
+
 def test_kappa_lb_rank1_worst_case_is_exactly_three():
     ab = bounds.AlphaBeta(alpha=2.0 / math.sqrt(5.0), beta=1.0 / math.sqrt(5.0))
     ev = bounds.kappa_lb_closed_form(ab)

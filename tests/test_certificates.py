@@ -164,14 +164,22 @@ def test_feasibility_report_sign_conventions():
     # norm-type residuals fail when above tol, eigenvalue-type below -tol
     rep = certs.FeasibilityReport(
         residuals={"gradient_orthogonality": 5e-9, "hessian_lmi": -5e-9},
-        tol=1e-8,
     )
     assert rep.feasible
     rep2 = certs.FeasibilityReport(
         residuals={"gradient_orthogonality": 2e-8, "hessian_lmi": 0.0},
-        tol=1e-8,
     )
     assert rep2.feasible is False
+
+
+def test_feasibility_report_tolerance_boundary():
+    # a norm residual at the tolerance passes, the next float above it fails;
+    # an eigenvalue residual at minus the tolerance passes, the next below fails
+    tol = certs.FEASIBILITY_TOL
+    for name, edge in (("gradient_orthogonality", tol), ("hessian_lmi", -tol)):
+        assert certs.FeasibilityReport(residuals={name: edge}).feasible
+        outside = math.nextafter(edge, math.copysign(1.0, edge))
+        assert certs.FeasibilityReport(residuals={name: outside}).feasible is False
 
 
 # -- analytic eigenpairs ------------------------------------------------------------

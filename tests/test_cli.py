@@ -532,6 +532,16 @@ def test_bounds_unbounded_kappa_is_null(capsys):
     assert record["kappa_lb"] is None  # infinite bound serializes as null
 
 
+def test_bounds_underflowing_denominator_is_null(capsys):
+    # (alpha - beta) * beta underflows to 0.0 on the interior branch
+    rc, out, err = run(capsys, "bounds", "--alpha", "1e-160", "--beta", "1e-170")
+    assert rc == 0 and err == ""
+    record = json.loads(out)
+    assert record["branch"] == "second"
+    assert record["kappa_lb"] is None
+    assert record["gamma"] == 1.0
+
+
 def test_bounds_scalar_zero_alpha_is_input_error(capsys):
     rc, _, err = run(capsys, "bounds", "--alpha", "0", "--beta", "0.5")
     assert rc == 2
