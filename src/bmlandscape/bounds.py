@@ -232,7 +232,9 @@ def thresholds(r: int, r_star: int) -> tuple[float, float]:
     """Lower and upper bounds on the critical condition number at rank r.
 
     Below ``1 + 2 sqrt(r/r_star)`` every second-order point is global; at
-    ``1 + 2 sqrt(r - r_star + 1)`` an explicit stuck instance exists.
+    ``1 + 2 sqrt(r - r_star + 1)`` an explicit stuck instance exists.  The
+    upper end is the one formula for that instance's condition number:
+    ``counterexample.build`` and ``CounterexampleInstance.kappa`` read it.
     """
     _check_ranks(r, r_star)
     return 1.0 + 2.0 * math.sqrt(r / r_star), 1.0 + 2.0 * math.sqrt(r - r_star + 1.0)

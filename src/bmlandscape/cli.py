@@ -142,7 +142,7 @@ def _cmd_verify(args) -> int:
     checks = {
         **report.checks,
         "gap_matches_formula": abs(report.objective_value - gap_formula) <= args.tol,
-        "gap_exceeds_mu": report.objective_value > 1.0,
+        "gap_exceeds_mu": report.objective_value > mu,
         "kappa_matches_spectrum": abs(inst.kappa - big / mu) <= KAPPA_RTOL * big / mu,
     }
     passed = all(checks.values())

@@ -13,14 +13,14 @@ Everything is expressed in an orthonormal frame ``u_0, ..., u_{n-1}``:
 either the standard basis or a seeded random rotation of it.
 
 An instance stores only what the construction chose: the frame, the stuck
-factor ``x_spur``, the objective (which owns the ground truth ``Z``) and
-the claimed ``kappa``.  It derives ``n``, ``r``, ``r_star``, ``q`` and
-``z`` from those matrices.  Records still carry copies of the derived
-facts, and :meth:`CounterexampleInstance.from_obj` rejects any copy that
-disagrees with its matrices, naming the field.  It also rejects a record
-that :func:`build` could not have written: a basis mode other than
-``standard`` or ``random``, ranks outside ``1 <= r_star <= r < n``, or a
-``kappa`` that is not exactly ``1 + 2 sqrt(q)``.
+factor ``x_spur`` and the objective (which owns the ground truth ``Z``).
+It derives ``n``, ``r``, ``r_star``, ``q``, ``z`` and ``kappa`` from those
+matrices; ``kappa`` is the top of :func:`bounds.thresholds`' window, the
+one place the formula is written.  Records still carry copies of the
+derived facts, and :meth:`CounterexampleInstance.from_obj` rejects any
+copy that disagrees with its matrices, naming the field.  It also rejects
+a record that :func:`build` could not have written: a basis mode other
+than ``standard`` or ``random``, or ranks outside ``1 <= r_star <= r < n``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialize
+from . import bounds, serialize
 from .objective import STATIONARY_TOL, QuadraticObjective, SecondOrderReport
 
 __all__ = [
@@ -53,16 +53,14 @@ SCALE = 2.0 ** 0.25
 class CounterexampleInstance:
     """A built instance: the objective plus its distinguished factor pair.
 
-    Only the six fields are stored.  The dimensions ``n`` and ``r`` are the
+    Only the five fields are stored.  The dimensions ``n`` and ``r`` are the
     shape of ``x_spur``, the ground truth ``z`` and its rank ``r_star``
-    belong to the objective, and ``q = r - r_star + 1``; so no copy of a
-    fact can disagree with the matrices it describes.  ``kappa`` is the
-    construction's claimed condition number, stored as built; a record
-    must name one of the two :func:`build` basis modes and claim
-    ``1 + 2 sqrt(q)`` exactly.
+    belong to the objective, ``q = r - r_star + 1``, and ``kappa`` is the
+    construction's condition number ``1 + 2 sqrt(q)``; so no copy of a
+    fact can disagree with the matrices it describes.  A record must name
+    one of the two :func:`build` basis modes.
     """
 
-    kappa: float
     basis_mode: str
     seed: int
     basis: np.ndarray  # n x n orthonormal, columns u_0..u_{n-1}
@@ -84,6 +82,11 @@ class CounterexampleInstance:
     @property
     def q(self) -> int:
         return self.r - self.r_star + 1
+
+    @property
+    def kappa(self) -> float:
+        """The construction's condition number: ``thresholds``' upper end."""
+        return bounds.thresholds(self.r, self.r_star)[1]
 
     @property
     def z(self) -> np.ndarray:
@@ -113,17 +116,17 @@ class CounterexampleInstance:
         A record whose ranks break ``1 <= r_star <= r < n`` is rejected
         too, as :func:`build` rejects them: no spurious-point formula holds
         for it.  ``basis_mode`` must be one of :func:`build`'s, the JSON
-        string ``"standard"`` or ``"random"``, and the record must claim
-        exactly the construction's ``kappa = 1 + 2 sqrt(q)``; checking the
-        claim against the spectrum of the objective would take an
-        eigensolver call at every load, so the CLI's ``verify`` makes that
-        check instead.  ``seed``, ``n``, ``r``, ``r_star`` and ``q`` must be
-        JSON integers, ``kappa`` a JSON number and the matrices' entries
+        string ``"standard"`` or ``"random"``.  The stored ``kappa`` is a
+        derived copy like ``n``, ``r``, ``r_star`` and ``q``, and must equal
+        ``1 + 2 sqrt(q)`` exactly; checking it against the spectrum of the
+        objective would take an eigensolver call at every load, so the
+        CLI's ``verify`` makes that check instead.  ``seed``, ``n``, ``r``,
+        ``r_star`` and ``q`` must be JSON integers and the matrices' entries
         JSON numbers; none of them is coerced.
         """
         if not isinstance(obj, dict) or obj.get("kind") != "counterexample":
             raise ValueError("record is not a counterexample instance")
-        seed, kappa, mode = obj["seed"], obj["kappa"], obj["basis_mode"]
+        seed, mode = obj["seed"], obj["basis_mode"]
         if mode not in ("standard", "random"):
             raise ValueError(
                 f"record field basis_mode={mode!r} is not 'standard' or 'random'"
@@ -131,8 +134,6 @@ class CounterexampleInstance:
         for name in ("seed", "n", "r", "r_star", "q"):
             if type(obj[name]) is not int:
                 raise ValueError(f"record field {name}={obj[name]!r} is not an integer")
-        if type(kappa) not in (int, float):
-            raise ValueError(f"record field kappa={kappa!r} is not a number")
         factors = {}
         for name in ("x_spur", "z"):
             f = serialize.matrix_from_lists(obj[name])
@@ -142,7 +143,6 @@ class CounterexampleInstance:
                 raise ValueError(f"Gram matrix {name} {name}^T overflows float64")
             factors[name] = f
         inst = cls(
-            kappa=float(kappa),
             basis_mode=mode,
             seed=seed,
             basis=serialize.matrix_from_lists(obj["basis"]),
@@ -154,13 +154,6 @@ class CounterexampleInstance:
             raise ValueError("record field z disagrees with the objective's Z")
         if inst.objective.n != inst.n or inst.basis.shape != (inst.n, inst.n):
             raise ValueError("x_spur, basis and objective disagree on n")
-        for name in ("n", "r", "r_star", "q"):
-            value = getattr(inst, name)
-            if obj[name] != value:
-                raise ValueError(
-                    f"record field {name}={obj[name]!r} disagrees with its "
-                    f"matrices ({name}={value})"
-                )
         if inst.r < inst.r_star:
             raise ValueError(
                 f"record has r={inst.r} below r_star={inst.r_star} (q={inst.q}); "
@@ -171,12 +164,13 @@ class CounterexampleInstance:
                 f"record has r_star={inst.r_star}, r={inst.r}, n={inst.n}; an "
                 "instance needs 1 <= r_star <= r < n"
             )
-        kappa = 1.0 + 2.0 * math.sqrt(inst.q)
-        if inst.kappa != kappa:
-            raise ValueError(
-                f"record field kappa={obj['kappa']!r} disagrees with its "
-                f"matrices (kappa=1+2*sqrt(q)={kappa!r} at q={inst.q})"
-            )
+        for name in ("n", "r", "r_star", "q", "kappa"):
+            value = getattr(inst, name)
+            if obj[name] != value:
+                raise ValueError(
+                    f"record field {name}={obj[name]!r} disagrees with its "
+                    f"matrices ({name}={value})"
+                )
         return inst
 
 
@@ -232,7 +226,7 @@ def build(
             f"got r_star={r_star}, r={r}, n={n}"
         )
     q = r - r_star + 1
-    kappa = 1.0 + 2.0 * math.sqrt(q)
+    kappa = bounds.thresholds(r, r_star)[1]
     u = _orthonormal_frame(n, basis_mode, seed)
 
     x1 = u[:, 1 : q + 1] / np.sqrt(1.0 + np.sqrt(q))
@@ -242,7 +236,6 @@ def build(
 
     objective = QuadraticObjective(_measurement_stack(n, q, kappa, u), z)
     return CounterexampleInstance(
-        kappa=kappa,
         basis_mode=basis_mode,
         seed=seed,
         basis=u,

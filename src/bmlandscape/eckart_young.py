@@ -95,13 +95,14 @@ class EYSolution:
     weights: np.ndarray  # (s_i - d_i)_+ for i <= r
 
 
-def _paired_value(s: np.ndarray, rows, weights) -> float:
-    # Group the value per eigenvalue so that cancellations (e.g. B = 0,
-    # where w_i == s_i) are exact rather than accurate to rounding.
+def _paired_value(s: np.ndarray, rows, d) -> float:
+    # Row i paired with penalty d keeps s^2 - (s - d)^2 = d (2s - d) when
+    # d < s, else s^2.  The factored form is exact for B = 0 and stays
+    # finite where s^2 overflows but the value does not.
     total = 0.0
     used = set()
-    for i, w in zip(rows, weights):
-        total += s[i] * s[i] - w * w
+    for i, dj in zip(rows, d):
+        total += dj * (2.0 * s[i] - dj) if dj < s[i] else s[i] * s[i]
         used.add(i)
     for i in range(s.size):
         if i not in used:
@@ -112,7 +113,7 @@ def _paired_value(s: np.ndarray, rows, weights) -> float:
 def solve(p: EYProblem) -> EYSolution:
     """Closed-form minimizer and value of the penalized approximation."""
     weights = np.maximum(p.s[: p.r] - p.d, 0.0)
-    value = _paired_value(p.s, range(p.r), weights)
+    value = _paired_value(p.s, range(p.r), p.d)
     y = np.zeros((p.n, p.r))
     y[np.arange(p.r), np.arange(p.r)] = np.sqrt(weights)
     return EYSolution(y=y, value=value, weights=weights)
@@ -135,8 +136,7 @@ def brute_force(p: EYProblem) -> float:
         )
     best = math.inf
     for rows in itertools.permutations(range(p.n), p.r):
-        weights = [max(p.s[i] - dj, 0.0) for i, dj in zip(rows, p.d)]
-        best = min(best, _paired_value(p.s, rows, weights))
+        best = min(best, _paired_value(p.s, rows, p.d))
     return best
 
 

@@ -145,6 +145,23 @@ def test_verify_random_basis_n10_passes_without_warnings(capsys, tmp_path):
     assert json.loads(out)["passed"] is True
 
 
+def test_verify_gap_exceeds_mu_reads_the_spectrum(capsys, tmp_path):
+    # halved measurements scale f by 1/4 and mu from 1 to 1/4: the gap
+    # 0.3964 is below 1 but above mu
+    path = build_instance(capsys, tmp_path)
+    record = json.loads(path.read_text())
+    record["objective"]["measurements"] = [
+        [[0.5 * v for v in row] for row in a] for a in record["objective"]["measurements"]
+    ]
+    path.write_text(json.dumps(record))
+    rc, out, _ = run(capsys, "verify", "--instance", str(path))
+    report = json.loads(out)
+    assert report["report"]["objective_value"] == pytest.approx(0.39644660940672627)
+    assert report["checks"]["gap_exceeds_mu"] is True
+    assert report["checks"]["gap_matches_formula"] is False
+    assert rc == 1
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
 def test_verify_rejects_invalid_tol(capsys, tmp_path, tol):
     path = build_instance(capsys, tmp_path)
@@ -339,6 +356,21 @@ def test_kappa_off_the_construction_is_input_error(capsys, tmp_path, command):
     assert rc == 2
     assert err.startswith("error:") and "record field kappa=" in err
     assert "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "cert.dat-s").exists()
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_kappa_beyond_float_range_is_input_error(capsys, tmp_path, command):
+    # a 400-digit JSON integer is compared as an integer, never converted
+    path = build_instance(capsys, tmp_path)
+    record = json.loads(path.read_text())
+    record["kappa"] = 10**400
+    path.write_text(json.dumps(record))
+    rc, out, err = run(capsys, *instance_subcommand(command, path, tmp_path))
+    assert rc == 2
+    assert err.startswith("error:") and "record field kappa=1000" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert out == ""
     assert not (tmp_path / "cert.dat-s").exists()
 
@@ -604,6 +636,13 @@ def test_ey_reference_values(capsys):
     assert record["weights"] == pytest.approx([2.5, 0.5], abs=1e-12)
     assert record["agrees"] is True
     assert record["brute_force_value"] == pytest.approx(7.5, abs=1e-12)
+
+
+def test_ey_huge_target_with_small_penalty_is_finite(capsys):
+    # s^2 - (s - d)^2 = d (2s - d) = 1e200, though s^2 overflows float64
+    rc, out, err = run(capsys, "ey", "--s", "1e200", "--d", "0.5")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["value"] == 1e200
 
 
 def test_ey_rejects_unsorted_spectrum(capsys):

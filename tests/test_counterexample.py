@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bmlandscape import counterexample as ce, serialize
+from bmlandscape import bounds, counterexample as ce, serialize
 from bmlandscape.matkernel import vec
 
 # every admissible rank triple with n <= 8
@@ -251,13 +251,42 @@ def test_from_obj_rejects_factor_rows_disagreeing_with_objective():
         ce.CounterexampleInstance.from_obj(small)
 
 
-def test_instance_stores_six_fields_and_derives_the_rest():
+def test_instance_stores_five_fields_and_derives_the_rest():
     inst = ce.build(6, 4, 2)
     assert [f.name for f in fields(inst)] == [
-        "kappa", "basis_mode", "seed", "basis", "x_spur", "objective",
+        "basis_mode", "seed", "basis", "x_spur", "objective",
     ]
     assert (inst.n, inst.r, inst.r_star, inst.q) == (6, 4, 2, 3)
+    assert inst.kappa == 1.0 + 2.0 * math.sqrt(3)
     assert inst.z is inst.objective.ground_truth
+
+
+@pytest.mark.parametrize("basis_mode", ["standard", "random"])
+def test_kappa_is_the_threshold_window_top_bitwise(basis_mode):
+    for n, r, rs in SWEEP:
+        inst = ce.build(n, r, rs, basis_mode=basis_mode, seed=n + r)
+        kappa = inst.kappa
+        assert type(kappa) is float
+        assert kappa == bounds.thresholds(r, rs)[1] == 1.0 + 2.0 * math.sqrt(inst.q)
+
+
+def test_from_obj_compares_kappa_as_the_json_value_it_is():
+    record = ce.build(4, 2, 2).to_obj()  # q = 1, kappa = 3.0
+    record["kappa"] = 3
+    assert ce.CounterexampleInstance.from_obj(record).kappa == 3.0
+    for value in ("3", True, None, 10**400):
+        record["kappa"] = value
+        with pytest.raises(ValueError, match="record field kappa=.* disagrees"):
+            ce.CounterexampleInstance.from_obj(record)
+
+
+def test_kappa_cannot_be_set():
+    inst = ce.build(5, 3, 2)
+    with pytest.raises(TypeError):
+        ce.CounterexampleInstance(
+            kappa=9.0, basis_mode="standard", seed=0, basis=inst.basis,
+            x_spur=inst.x_spur, objective=inst.objective,
+        )
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -102,6 +102,13 @@ def test_brute_force_zero_penalty_exact():
     assert ey.solve(p).value == 1.5**2 + 0.5**2
 
 
+def test_value_finite_where_target_squares_overflow():
+    # s^2 overflows float64, yet each paired row keeps d (2s - d), finite
+    p = ey.EYProblem(s=np.array([1e200, 2.0]), d=np.array([0.5, 1.0]))
+    assert ey.solve(p).value == 1e200
+    assert ey.brute_force(p) == 1e200
+
+
 def test_identity_ordering_beats_permutations():
     # the sorted pairing is optimal: check one case exhaustively by hand
     p = ey.EYProblem(s=np.array([5.0, 1.0]), d=np.array([0.5, 4.0]))
