@@ -39,7 +39,7 @@ __all__ = [
     "sufficient_rank",
 ]
 
-GRAM_EIG_CLAMP = 1e-12  # lam_min(X^T X) below this counts as rank deficiency
+GRAM_EIG_CLAMP = 1e-12  # X is rank deficient at lam_min(X^T X) <= this * lam_max
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,15 @@ def _check_ranks(r: int, r_star: int) -> None:
 
 def alpha_beta(x, z) -> AlphaBeta:
     """Geometric invariants of a factor pair (X, Z)."""
-    x, z, err = pair_residual(x, z)
+    return _pair_geometry(*pair_residual(x, z))[0]
+
+
+def _pair_geometry(x, z, err):
+    """``alpha_beta`` of a checked pair with residual ``err``, and its working.
+
+    Returns ``(ab, ||E||_F, ||Z_perp Z_perp^T||_F, v)`` with ``v`` the unit
+    eigenvector of ``X^T X`` for ``lam_min``, or ``None`` if X is rank deficient.
+    """
     # the norm is the square root of a sum of squares, which can overflow
     # where every entry and the norm itself are finite
     with np.errstate(over="ignore"):
@@ -97,21 +105,18 @@ def alpha_beta(x, z) -> AlphaBeta:
     outer = z_perp @ z_perp.T
     outer_norm = float(np.linalg.norm(outer))
 
-    gram_eigs, _ = sym_eig(x.T @ x)
-    lam_min = float(gram_eigs[-1])
-    if lam_min < GRAM_EIG_CLAMP:
-        lam_min = 0.0
+    gram_eigs, gram_vecs = sym_eig(x.T @ x)
+    lam_min, v_min = float(gram_eigs[-1]), gram_vecs[:, -1:]
+    if lam_min <= GRAM_EIG_CLAMP * float(gram_eigs[0]):
+        lam_min, v_min = 0.0, None
 
     if outer_norm == 0.0:
-        return AlphaBeta(
-            alpha=0.0,
-            beta=lam_min / err_norm,
-            z_perp=z_perp,
-            degenerate=True,
-        )
-    alpha = _check_unit(outer_norm / err_norm)
-    beta = lam_min * float(np.trace(outer)) / (err_norm * outer_norm)
-    return AlphaBeta(alpha=alpha, beta=beta, z_perp=z_perp)
+        ab = AlphaBeta(alpha=0.0, beta=lam_min / err_norm, z_perp=z_perp, degenerate=True)
+    else:
+        alpha = _check_unit(outer_norm / err_norm)
+        beta = lam_min * float(np.trace(outer)) / (err_norm * outer_norm)
+        ab = AlphaBeta(alpha=alpha, beta=beta, z_perp=z_perp)
+    return ab, err_norm, outer_norm, v_min
 
 
 def kappa_lb_closed_form(ab: AlphaBeta) -> BoundEvaluation:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .bounds import GRAM_EIG_CLAMP, alpha_beta
+from .bounds import _pair_geometry
 from .counterexample import CounterexampleInstance, eigen_pairs
 from .matkernel import (
     as_symmetric,
@@ -217,26 +217,24 @@ def cos_theta_witness(x, z, tau: float):
 
     Builds ``y = gamma_1 J_X^+ e`` and the PSD combination ``W`` over the
     out-of-range columns of Z, forms ``f = J_X y - vec(sum_i W_ii)``, and
-    checks the witness identities.  The energy identity is
-    ``<J_X^T J_X, W> = 2 tau beta`` (the construction's gamma_2 scaling
-    contributes 2 lam_min(X^T X) tr(Z_perp Z_perp^T) / (||e|| ||Z_perp
-    Z_perp^T||_F), which is exactly 2 beta).  The achieved objective equals
-    ``sqrt(1-tau^2) sqrt(1-alpha^2) + tau alpha``.
+    checks the witness identities.  ``gamma_2 = tau / (||e|| ||Z_perp
+    Z_perp^T||_F)`` makes ``<J_X^T J_X, W> = 2 tau beta``, and the objective
+    equals ``sqrt(1-tau^2) sqrt(1-alpha^2) + tau alpha``.  The two norms,
+    ``Z_perp``, the ``lam_min(X^T X)`` eigenvector and the full-rank test
+    come from ``alpha_beta``'s one pass over the pair.
     """
     x, z, e = pair_residual(x, z)
-    ab = alpha_beta(x, z)
+    ab, e_norm, e2_norm, v_min = _pair_geometry(x, z, e)
     tau = float(tau)
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     if tau > ab.alpha + 1e-12:
         raise ValueError(f"tau must not exceed alpha = {ab.alpha}, got {tau}")
-    gram_eigs, gram_vecs = sym_eig(x.T @ x)
-    if gram_eigs[-1] <= GRAM_EIG_CLAMP:
+    if v_min is None:
         raise ValueError("X must have full column rank")
 
     n, r = x.shape
     e = vec(e)
-    e_norm = float(np.linalg.norm(e))
     j = jacobian_matrix(x)
     j_pinv_e = pinv(j) @ e
     e1 = j @ j_pinv_e
@@ -250,30 +248,24 @@ def cos_theta_witness(x, z, tau: float):
 
     w = np.zeros((n * r, n * r))
     if tau > 0.0:
-        z_perp = ab.z_perp
-        e2_norm = float(np.linalg.norm(z_perp @ z_perp.T))
-        if e2_norm == 0.0:
+        if ab.degenerate:
             raise ValueError("tau > 0 requires Z to leave the range of X")
         gamma2 = tau / (e_norm * e2_norm)
         # column i is vec(z_perp[:, i] v_min^T)
-        cols = np.kron(gram_vecs[:, -1:], z_perp)
+        cols = np.kron(v_min, ab.z_perp)
         w = gamma2 * (cols @ cols.T)
 
     # partial trace: the sum of the r diagonal n x n blocks of W
     f = j @ y - vec(np.trace(w.reshape(r, n, r, n), axis1=0, axis2=2))
 
     objective = float(e @ f)
-    expected = math.sqrt(max(0.0, 1.0 - tau * tau)) * math.sqrt(
-        max(0.0, 1.0 - ab.alpha**2)
-    ) + tau * ab.alpha
+    expected = math.sqrt(1.0 - tau * tau) * math.sqrt(1.0 - ab.alpha**2) + tau * ab.alpha
     proj = residual_projector(z)
     residuals = {
         "pairing_normalization": abs(e_norm * float(np.linalg.norm(f)) - 1.0),
         "witness_psd": _min_eig(w),
         "projected_alignment_psd": _min_eig(proj @ as_symmetric(unvec(f)) @ proj),
-        "jacobian_energy_deviation": abs(
-            float(np.vdot(j.T @ j, w)) - 2.0 * tau * ab.beta
-        ),
+        "jacobian_energy_deviation": abs(float(np.vdot(j.T @ j, w)) - 2.0 * tau * ab.beta),
         "objective_deviation": abs(objective - expected),
     }
     return objective, FeasibilityReport(residuals=residuals)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import typing
@@ -261,7 +262,8 @@ def _cmd_ey(args) -> int:
     if args.brute_force:
         reference = eckart_young.brute_force(problem)
         record["brute_force_value"] = reference
-        record["agrees"] = abs(solution.value - reference) <= 1e-10
+        # equal values, inf included, agree before any subtraction
+        record["agrees"] = math.isclose(solution.value, reference, rel_tol=0.0, abs_tol=1e-10)
     _emit(record, args.out)
     if args.brute_force and not record["agrees"]:
         return 1

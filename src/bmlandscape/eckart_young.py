@@ -95,16 +95,18 @@ class EYSolution:
     weights: np.ndarray  # (s_i - d_i)_+ for i <= r
 
 
-def _paired_value(s: np.ndarray, rows, d) -> float:
+def _paired_value(s: np.ndarray, rows, d: np.ndarray) -> float:
     # Row i paired with penalty d keeps s^2 - (s - d)^2 = d (2s - d) when
     # d < s, else s^2.  The factored form is exact for B = 0 and stays
-    # finite where s^2 overflows but the value does not.
+    # finite where s^2 overflows but the value does not.  On Python floats
+    # an overflowing total is inf, without numpy's warning.
+    s, d = s.tolist(), d.tolist()
     total = 0.0
     used = set()
     for i, dj in zip(rows, d):
         total += dj * (2.0 * s[i] - dj) if dj < s[i] else s[i] * s[i]
         used.add(i)
-    for i in range(s.size):
+    for i in range(len(s)):
         if i not in used:
             total += s[i] * s[i]
     return total

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .matkernel import as_factor, jacobian_matrix, sym_eig
+from .matkernel import as_factor, jacobian_apply, jacobian_matrix, sym_eig
 
 __all__ = ["STATIONARY_TOL", "QuadraticObjective", "SecondOrderReport", "symmetric_basis"]
 
@@ -224,11 +224,9 @@ class QuadraticObjective:
         """Quadratic form <hess f(X)[V], V> along a direction V."""
         x = self._check_factor(x)
         v = self._check_factor(v)
-        if v.shape != x.shape:
-            raise ValueError(f"direction shape {v.shape} != factor shape {x.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
             s = self._s_term(x)
-            w = x @ v.T + v @ x.T
+            w = jacobian_apply(x, v)
             hw = self.apply_gram((0.5 * (w + w.T))[None])[0]
             value = 2.0 * float(np.vdot(s, v @ v.T)) + float(np.vdot(hw, w))
         if not math.isfinite(value):

@@ -121,6 +121,37 @@ def test_alpha_beta_range_invariant():
         assert ab.beta >= 0.0
 
 
+SCALE_CASES = [((5, 3, 2), "standard", 0), ((4, 1, 1), "standard", 0), ((6, 4, 2), "random", 3)]
+
+
+@pytest.mark.parametrize("shape,basis_mode,seed", SCALE_CASES)
+@pytest.mark.parametrize("scale", [1e-3, 1e-6])
+def test_invariants_do_not_change_under_joint_scaling(shape, basis_mode, seed, scale):
+    # alpha and beta are homogeneous of degree 0 in (X, Z); at scale 1e-6
+    # lam_min(X^T X) is near 1e-12, full rank relative to lam_max
+    inst = counterexample.build(*shape, basis_mode=basis_mode, seed=seed)
+    ab = bounds.alpha_beta(inst.x_spur, inst.z)
+    scaled = bounds.alpha_beta(scale * inst.x_spur, scale * inst.z)
+    assert scaled.alpha == pytest.approx(ab.alpha, rel=1e-12, abs=0.0)
+    assert scaled.beta == pytest.approx(ab.beta, rel=1e-12, abs=0.0)
+    kappa = bounds.kappa_lb_closed_form(ab).kappa_lb
+    assert math.isfinite(kappa)
+    assert bounds.kappa_lb_closed_form(scaled).kappa_lb == pytest.approx(kappa, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_rank_rule_is_relative_to_lam_max(scale):
+    # duplicate columns are rank deficient at every scale of X, and a
+    # full-rank X stays full rank however small it is
+    z = np.array([[0.0], [0.0], [1.0]])
+    deficient = scale * np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
+    assert bounds.alpha_beta(deficient, z).beta == 0.0
+    full = scale * np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    assert bounds.alpha_beta(full, z).beta > 0.0
+    with pytest.raises(ValueError, match="full column rank"):
+        certificates.cos_theta_witness(deficient, z, 0.0)
+
+
 # -- closed-form bound ----------------------------------------------------------
 
 

@@ -240,6 +240,39 @@ def test_witness_validation():
         certs.cos_theta_witness(e1, 2.0 * e1, 1e-13)
 
 
+def test_witness_makes_one_pass_over_the_pair(monkeypatch):
+    # one residual, one X^T X eigendecomposition and one ||Z_perp Z_perp^T||_F
+    # per call, shared with the (alpha, beta) invariants
+    inst = ce.build(5, 3, 2)
+    ab = bounds.alpha_beta(inst.x_spur, inst.z)
+    outer = ab.z_perp @ ab.z_perp.T
+    residual, sym_eig, norm = certs.pair_residual, certs.sym_eig, np.linalg.norm
+    seen = []
+
+    def count_residual(x, z):
+        seen.append("residual")
+        return residual(x, z)
+
+    def count_eig(s):
+        seen.append(np.shape(s))
+        return sym_eig(s)
+
+    def count_norm(a, *args, **kwargs):
+        if np.shape(a) == outer.shape and np.allclose(a, outer, rtol=1e-12, atol=0.0):
+            seen.append("outer_norm")
+        return norm(a, *args, **kwargs)
+
+    for module in (bounds, certs):
+        monkeypatch.setattr(module, "pair_residual", count_residual)
+        monkeypatch.setattr(module, "sym_eig", count_eig)
+    monkeypatch.setattr(np.linalg, "norm", count_norm)
+    _, report = certs.cos_theta_witness(inst.x_spur, inst.z, 0.5 * ab.alpha)
+    assert report.feasible, report.residuals
+    assert seen.count("residual") == 1
+    assert seen.count((3, 3)) == 1  # X^T X; the other eigensolves are 15 x 15 and 5 x 5
+    assert seen.count("outer_norm") == 1
+
+
 # -- SDPA export -----------------------------------------------------------------------
 
 

@@ -602,6 +602,24 @@ def test_bounds_overflowing_residual_norm_is_input_error(capsys, tmp_path):
     assert not report.exists()
 
 
+def test_bounds_instance_at_small_joint_scale_is_finite(capsys, tmp_path):
+    # x_spur, z and the objective's Z scaled by 1e-6 put lam_min(X^T X) near
+    # 1e-12; alpha, beta and kappa_lb do not change
+    path = build_instance(capsys, tmp_path)
+    _, out, _ = run(capsys, "bounds", "--instance", str(path))
+    unscaled = json.loads(out)
+    record = json.loads(path.read_text())
+    for holder, key in ((record, "x_spur"), (record, "z"), (record["objective"], "Z")):
+        holder[key] = [[1e-6 * v for v in row] for row in holder[key]]
+    path.write_text(json.dumps(record))
+    rc, out, err = run(capsys, "bounds", "--instance", str(path))
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    assert report["kappa_lb"] is not None and math.isfinite(report["kappa_lb"])
+    for key in ("alpha", "beta", "kappa_lb"):
+        assert report[key] == pytest.approx(unscaled[key], rel=1e-12, abs=0.0)
+
+
 def test_bounds_flag_conflicts(capsys, tmp_path):
     path = build_instance(capsys, tmp_path)
     rc, _, err = run(
@@ -643,6 +661,16 @@ def test_ey_huge_target_with_small_penalty_is_finite(capsys):
     rc, out, err = run(capsys, "ey", "--s", "1e200", "--d", "0.5")
     assert rc == 0 and err == ""
     assert json.loads(out)["value"] == 1e200
+
+
+def test_ey_overflowing_values_agree(capsys):
+    # solver and oracle both overflow to inf: equal values agree, and
+    # nothing warns or subtracts inf from inf
+    rc, out, err = run(capsys, "ey", "--s", "1e300,1e300", "--d", "0.5", "--brute-force")
+    assert rc == 0 and err == ""
+    record = json.loads(out)
+    assert record["value"] is None and record["brute_force_value"] is None
+    assert record["agrees"] is True
 
 
 def test_ey_rejects_unsorted_spectrum(capsys):

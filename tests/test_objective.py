@@ -219,7 +219,7 @@ def test_f_grad_rejects_wrong_rows():
     obj, _ = make_objective(4, 1, 3, SEED + 8)
     with pytest.raises(ValueError):
         obj.f_grad(np.ones((5, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="direction shape"):
         obj.f_hess_quadform(np.ones((4, 2)), np.ones((4, 3)))
 
 
