@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkernel import pair_residual, pinv, sym_eig
+from .matkernel import ZERO_RTOL, pair_residual, pinv, sym_eig
 
 __all__ = [
     "AlphaBeta",
@@ -38,8 +38,6 @@ __all__ = [
     "thresholds",
     "sufficient_rank",
 ]
-
-GRAM_EIG_CLAMP = 1e-12  # X is rank deficient at lam_min(X^T X) <= this * lam_max
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,7 @@ def _pair_geometry(x, z, err):
 
     gram_eigs, gram_vecs = sym_eig(x.T @ x)
     lam_min, v_min = float(gram_eigs[-1]), gram_vecs[:, -1:]
-    if lam_min <= GRAM_EIG_CLAMP * float(gram_eigs[0]):
+    if lam_min <= ZERO_RTOL * float(gram_eigs[0]):  # X is rank deficient
         lam_min, v_min = 0.0, None
 
     if outer_norm == 0.0:

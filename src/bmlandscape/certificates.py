@@ -50,6 +50,7 @@ from . import serialize
 from .bounds import _pair_geometry
 from .counterexample import CounterexampleInstance, eigen_pairs
 from .matkernel import (
+    ZERO_RTOL,
     as_symmetric,
     jacobian_matrix,
     pair_residual,
@@ -74,6 +75,7 @@ __all__ = [
 ]
 
 FEASIBILITY_TOL = 1e-8
+SYSTEMS = ("ub", "lb")  # the two feasibility systems, as CertificateSDP.which names them
 
 # export_sdpa renders and writes the entry lines this many at a time (about
 # 150 KB of text per write).
@@ -129,8 +131,8 @@ class FeasibilityReport:
 
 def assemble(x, z, which: str) -> CertificateSDP:
     """Realize the data matrices of the ub or lb system at (X, Z)."""
-    if which not in ("ub", "lb"):
-        raise ValueError(f"which must be 'ub' or 'lb', got {which!r}")
+    if which not in SYSTEMS:
+        raise ValueError(f"which must be {' or '.join(map(repr, SYSTEMS))}, got {which!r}")
     x, z, e = pair_residual(x, z)
     return CertificateSDP(
         n=x.shape[0],
@@ -221,7 +223,8 @@ def cos_theta_witness(x, z, tau: float):
     Z_perp^T||_F)`` makes ``<J_X^T J_X, W> = 2 tau beta``, and the objective
     equals ``sqrt(1-tau^2) sqrt(1-alpha^2) + tau alpha``.  The two norms,
     ``Z_perp``, the ``lam_min(X^T X)`` eigenvector and the full-rank test
-    come from ``alpha_beta``'s one pass over the pair.
+    come from ``alpha_beta``'s one pass over the pair.  The two eigenvalue
+    residuals are those of the pair scaled to ``||e|| = 1`` (times ``||e||``).
     """
     x, z, e = pair_residual(x, z)
     ab, e_norm, e2_norm, v_min = _pair_geometry(x, z, e)
@@ -239,7 +242,7 @@ def cos_theta_witness(x, z, tau: float):
     j_pinv_e = pinv(j) @ e
     e1 = j @ j_pinv_e
     e1_norm = float(np.linalg.norm(e1))
-    if e1_norm <= 1e-14 and tau < 1.0:
+    if e1_norm <= ZERO_RTOL * e_norm and tau < 1.0:
         raise ValueError("residual has no component along the factor's range")
 
     y = np.zeros(n * r) if tau >= 1.0 else (
@@ -263,8 +266,8 @@ def cos_theta_witness(x, z, tau: float):
     proj = residual_projector(z)
     residuals = {
         "pairing_normalization": abs(e_norm * float(np.linalg.norm(f)) - 1.0),
-        "witness_psd": _min_eig(w),
-        "projected_alignment_psd": _min_eig(proj @ as_symmetric(unvec(f)) @ proj),
+        "witness_psd": e_norm * _min_eig(w),
+        "projected_alignment_psd": e_norm * _min_eig(proj @ as_symmetric(unvec(f)) @ proj),
         "jacobian_energy_deviation": abs(float(np.vdot(j.T @ j, w)) - 2.0 * tau * ab.beta),
         "objective_deviation": abs(objective - expected),
     }

@@ -301,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--rstar", type=int, required=True)
-    p.add_argument("--basis", choices=("standard", "random"), default="standard")
+    p.add_argument("--basis", choices=counterexample.BASIS_MODES, default="standard")
     p.add_argument("--seed", type=int, default=0, help="basis seed (random mode)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(handler=_cmd_build, size_flags=("--n", "--r", "--rstar"))
@@ -346,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="write a certificate program in SDPA sparse format")
     p.add_argument("--instance", required=True)
-    p.add_argument("--which", choices=("ub", "lb"), required=True)
+    p.add_argument("--which", choices=certificates.SYSTEMS, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--comment", action="append", help="extra comment line (repeatable)")
     p.set_defaults(handler=_cmd_export, size_flags=("--instance",))

@@ -47,6 +47,7 @@ __all__ = [
 # the stuck point exactly stationary for the 1/2-weighted least-squares
 # objective while keeping the curvature floor at one.
 SCALE = 2.0 ** 0.25
+BASIS_MODES = ("standard", "random")  # the frames build offers and records name
 
 
 @dataclass(frozen=True)
@@ -127,9 +128,9 @@ class CounterexampleInstance:
         if not isinstance(obj, dict) or obj.get("kind") != "counterexample":
             raise ValueError("record is not a counterexample instance")
         seed, mode = obj["seed"], obj["basis_mode"]
-        if mode not in ("standard", "random"):
+        if mode not in BASIS_MODES:
             raise ValueError(
-                f"record field basis_mode={mode!r} is not 'standard' or 'random'"
+                f"record field basis_mode={mode!r} is not {' or '.join(map(repr, BASIS_MODES))}"
             )
         for name in ("seed", "n", "r", "r_star", "q"):
             if type(obj[name]) is not int:
@@ -175,14 +176,14 @@ class CounterexampleInstance:
 
 
 def _orthonormal_frame(n: int, mode: str, seed: int) -> np.ndarray:
+    if mode not in BASIS_MODES:
+        raise ValueError(f"unknown basis mode {mode!r}; use {' or '.join(map(repr, BASIS_MODES))}")
     if mode == "standard":
         return np.eye(n)
-    if mode == "random":
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((n, n))
-        qmat, rmat = np.linalg.qr(g)
-        return qmat * np.sign(np.diag(rmat))
-    raise ValueError(f"unknown basis mode {mode!r}; use 'standard' or 'random'")
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    qmat, rmat = np.linalg.qr(g)
+    return qmat * np.sign(np.diag(rmat))
 
 
 def _measurement_stack(n: int, q: int, kappa: float, u: np.ndarray) -> np.ndarray:

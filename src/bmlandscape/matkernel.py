@@ -33,9 +33,9 @@ __all__ = [
 # treated as zero when forming a pseudo-inverse.
 PINV_TOL_SCALE = 1e-10
 
-# A factor pair whose residual X X^T - Z Z^T has Frobenius norm at most this
-# has identical Gram matrices.
-RESIDUAL_FLOOR = 1e-12
+# A quantity counts as zero when it is at most ZERO_RTOL times the scale it is
+# measured against; the package's one zero test.
+ZERO_RTOL = 1e-12
 
 
 def as_symmetric(s) -> np.ndarray:
@@ -97,8 +97,8 @@ def pair_residual(x, z):
     """Validated factors ``(X, Z)`` of a pair and their residual ``X X^T - Z Z^T``.
 
     Rejects factors with different row counts, a residual that overflows
-    float64 and a pair with identical Gram matrices (residual norm at most
-    ``RESIDUAL_FLOOR``).
+    float64 and a pair with identical Gram matrices: ``max |E|`` at most
+    ``ZERO_RTOL`` times the larger of ``max |X X^T|`` and ``max |Z Z^T|``.
     """
     x = as_factor(x)
     z = as_factor(z)
@@ -107,11 +107,11 @@ def pair_residual(x, z):
             f"factors must share their row count, got {x.shape} and {z.shape}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        e = x @ x.T - z @ z.T
+        xx, zz = x @ x.T, z @ z.T
+        e = xx - zz
     if not np.all(np.isfinite(e)):
         raise ValueError("residual X X^T - Z Z^T overflows float64")
-    # ||e|| >= max |e_ij|: the norm is taken only where it cannot overflow
-    if np.abs(e).max() <= RESIDUAL_FLOOR and np.linalg.norm(e) <= RESIDUAL_FLOOR:
+    if np.abs(e).max() <= ZERO_RTOL * max(np.abs(xx).max(), np.abs(zz).max()):
         raise ValueError("factor pair has identical Gram matrices X X^T = Z Z^T")
     return x, z, e
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .matkernel import as_factor, jacobian_apply, jacobian_matrix, sym_eig
+from .matkernel import ZERO_RTOL, as_factor, jacobian_apply, jacobian_matrix, sym_eig
 
 __all__ = ["STATIONARY_TOL", "QuadraticObjective", "SecondOrderReport", "symmetric_basis"]
 
@@ -181,14 +181,12 @@ class QuadraticObjective:
         return flat.T @ flat
 
     def smoothness_bounds(self) -> tuple[float, float]:
-        """Extreme curvatures (mu, L) of phi over symmetric matrices."""
+        """Extreme curvatures (mu, L) of phi over symmetric matrices; needs mu > ZERO_RTOL * L."""
         basis = symmetric_basis(self.n).reshape(-1, self.n * self.n)
         w, _ = sym_eig(basis @ self.gram_symmetric @ basis.T)
         mu, big = float(w[-1]), float(w[0])
-        if mu <= 1e-12:
-            raise ValueError(
-                "measurement set does not induce positive-definite curvature"
-            )
+        if mu <= ZERO_RTOL * big:
+            raise ValueError("measurement set does not induce positive-definite curvature")
         return mu, big
 
     # -- factored-space evaluations --------------------------------------

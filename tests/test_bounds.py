@@ -77,10 +77,15 @@ PAIR_CALLERS = (bounds.alpha_beta, lambda x, z: certificates.assemble(x, z, "ub"
 
 
 def test_alpha_beta_rejects_identical_grams():
-    x = np.eye(3)[:, :2]
-    for caller in PAIR_CALLERS:
-        with pytest.raises(ValueError, match="identical Gram matrices"):
-            caller(x, x.copy())
+    # Z = X Q with Q a rotation has X X^T = Z Z^T; its residual is rounding,
+    # at most ZERO_RTOL times max |X X^T| at every scale of X
+    base = np.array([[1.0, 2.0], [0.0, 1.0], [3.0, -1.0]])
+    q = np.array([[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]])
+    pairs = [(np.eye(3)[:, :2], np.eye(3)[:, :2])] + [(s * base, s * base @ q) for s in (1e3, 1e6)]
+    for x, z in pairs:
+        for caller in PAIR_CALLERS:
+            with pytest.raises(ValueError, match="identical Gram matrices"):
+                caller(x, z)
 
 
 def test_alpha_beta_rejects_row_mismatch():
@@ -125,10 +130,11 @@ SCALE_CASES = [((5, 3, 2), "standard", 0), ((4, 1, 1), "standard", 0), ((6, 4, 2
 
 
 @pytest.mark.parametrize("shape,basis_mode,seed", SCALE_CASES)
-@pytest.mark.parametrize("scale", [1e-3, 1e-6])
+@pytest.mark.parametrize("scale", [1e-3, 1e-6, 3e-7])
 def test_invariants_do_not_change_under_joint_scaling(shape, basis_mode, seed, scale):
     # alpha and beta are homogeneous of degree 0 in (X, Z); at scale 1e-6
-    # lam_min(X^T X) is near 1e-12, full rank relative to lam_max
+    # lam_min(X^T X) is near 1e-12, full rank relative to lam_max, and at
+    # 3e-7 the residual's entries are below 1e-12, nonzero relative to the Grams
     inst = counterexample.build(*shape, basis_mode=basis_mode, seed=seed)
     ab = bounds.alpha_beta(inst.x_spur, inst.z)
     scaled = bounds.alpha_beta(scale * inst.x_spur, scale * inst.z)

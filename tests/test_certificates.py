@@ -273,6 +273,19 @@ def test_witness_makes_one_pass_over_the_pair(monkeypatch):
     assert seen.count("outer_norm") == 1
 
 
+@pytest.mark.parametrize("scale", [1e-5, 1e5])
+def test_witness_residuals_do_not_change_under_joint_scaling(scale):
+    # the eigenvalue residuals are read for the pair scaled to ||e|| = 1, so
+    # FEASIBILITY_TOL means the same at every scale of (X, Z)
+    inst = ce.build(5, 3, 2, basis_mode="random", seed=3)
+    tau = 0.5 * bounds.alpha_beta(inst.x_spur, inst.z).alpha
+    _, unscaled = certs.cos_theta_witness(inst.x_spur, inst.z, tau)
+    _, report = certs.cos_theta_witness(scale * inst.x_spur, scale * inst.z, tau)
+    assert report.feasible, report.residuals
+    for name, value in report.residuals.items():
+        assert abs(value - unscaled.residuals[name]) <= 1e-14, (name, value)
+
+
 # -- SDPA export -----------------------------------------------------------------------
 
 

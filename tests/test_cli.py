@@ -604,20 +604,23 @@ def test_bounds_overflowing_residual_norm_is_input_error(capsys, tmp_path):
 
 def test_bounds_instance_at_small_joint_scale_is_finite(capsys, tmp_path):
     # x_spur, z and the objective's Z scaled by 1e-6 put lam_min(X^T X) near
-    # 1e-12; alpha, beta and kappa_lb do not change
-    path = build_instance(capsys, tmp_path)
-    _, out, _ = run(capsys, "bounds", "--instance", str(path))
+    # 1e-12, and by 3e-7 every residual entry below 1e-12; alpha, beta and
+    # kappa_lb do not change
+    built = build_instance(capsys, tmp_path)
+    _, out, _ = run(capsys, "bounds", "--instance", str(built))
     unscaled = json.loads(out)
-    record = json.loads(path.read_text())
-    for holder, key in ((record, "x_spur"), (record, "z"), (record["objective"], "Z")):
-        holder[key] = [[1e-6 * v for v in row] for row in holder[key]]
-    path.write_text(json.dumps(record))
-    rc, out, err = run(capsys, "bounds", "--instance", str(path))
-    assert rc == 0 and err == ""
-    report = json.loads(out)
-    assert report["kappa_lb"] is not None and math.isfinite(report["kappa_lb"])
-    for key in ("alpha", "beta", "kappa_lb"):
-        assert report[key] == pytest.approx(unscaled[key], rel=1e-12, abs=0.0)
+    for scale in (1e-6, 3e-7):
+        record = json.loads(built.read_text())
+        for holder, key in ((record, "x_spur"), (record, "z"), (record["objective"], "Z")):
+            holder[key] = [[scale * v for v in row] for row in holder[key]]
+        path = tmp_path / f"scaled-{scale}.json"
+        path.write_text(json.dumps(record))
+        rc, out, err = run(capsys, "bounds", "--instance", str(path))
+        assert rc == 0 and err == ""
+        report = json.loads(out)
+        assert report["kappa_lb"] is not None and math.isfinite(report["kappa_lb"])
+        for key in ("alpha", "beta", "kappa_lb"):
+            assert report[key] == pytest.approx(unscaled[key], rel=1e-12, abs=0.0)
 
 
 def test_bounds_flag_conflicts(capsys, tmp_path):

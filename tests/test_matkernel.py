@@ -139,10 +139,12 @@ def test_pair_residual_returns_checked_factors_and_residual():
     xc, zc, e = pair_residual(x.tolist(), z)
     assert np.array_equal(xc, x) and np.array_equal(zc, z)
     assert np.array_equal(e, x @ x.T - z @ z.T)
-    # a residual of norm 4e-12 is kept, one of norm 2.5e-13 is not
+    # the zero test is relative to max |X X^T| and max |Z Z^T|: against Z = 0
+    # every nonzero X is kept, however small its residual
     assert pair_residual([[2e-6]], [[0.0]])[2][0, 0] > 0.0
+    assert pair_residual([[5e-7]], [[0.0]])[2][0, 0] > 0.0
     with pytest.raises(ValueError, match="identical Gram matrices"):
-        pair_residual([[5e-7]], [[0.0]])
+        pair_residual([[1e3]], [[1e3 + 1e-10]])
     with pytest.raises(ValueError, match="residual X X\\^T - Z Z\\^T overflows float64"):
         pair_residual(1e160 * x, z)
 

@@ -196,6 +196,10 @@ def test_smoothness_bounds_scaling():
     mu, big = obj.smoothness_bounds()
     assert abs(mu - 4.0) <= 1e-12
     assert abs(big - 4.0) <= 1e-12
+    # kappa = L / mu does not change with the scale of phi, nor does the
+    # positive-definiteness test, which is relative to L
+    tiny = QuadraticObjective(1e-7 * basis, np.ones((3, 1))).smoothness_bounds()
+    assert tiny == pytest.approx((1e-14, 1e-14), rel=1e-13, abs=0.0)
 
 
 def test_smoothness_bounds_rejects_degenerate_family():

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -44,3 +45,28 @@ def test_private_functions_are_used_outside_their_own_def():
         and not used.get(fn.name, set()) - {id(node) for node in ast.walk(fn)}
     ]
     assert unused == []
+
+
+def test_constants_are_read_outside_their_own_assignment():
+    # a deleted use can leave behind a floor or tolerance that nothing reads;
+    # a read is a loaded name or an attribute anywhere in the package, so an
+    # import alone does not count
+    source = pathlib.Path(bmlandscape.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in source.glob("*.py")]
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    constants = [
+        target.id
+        for tree in trees
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
+    ]
+    assert "ZERO_RTOL" in constants
+    assert [name for name in constants if name not in read] == []
