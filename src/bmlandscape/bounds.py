@@ -72,7 +72,7 @@ def _branch_is_first(alpha: float, beta: float) -> bool:
 
 
 def _check_unit(alpha: float) -> float:
-    if not 0.0 <= alpha <= 1.0 + 1e-12:
+    if not 0.0 <= alpha <= 1.0 + ZERO_RTOL:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     return min(float(alpha), 1.0)
 
@@ -90,15 +90,16 @@ def alpha_beta(x, z) -> AlphaBeta:
 def _pair_geometry(x, z, err):
     """``alpha_beta`` of a checked pair with residual ``err``, and its working.
 
-    Returns ``(ab, ||E||_F, ||Z_perp Z_perp^T||_F, v)`` with ``v`` the unit
-    eigenvector of ``X^T X`` for ``lam_min``, or ``None`` if X is rank deficient.
+    The pair is first scaled by the power of two ``2^k`` that puts ``max |E|``
+    in [1/2, 2): the scaling is exact, (alpha, beta) are scale-free, and
+    ``||E||_F`` cannot overflow.  Returns ``(ab, (X, Z, E, Z_perp), ||E||_F,
+    ||Z_perp Z_perp^T||_F, v)`` for the scaled pair, with ``v`` the unit
+    eigenvector of ``X^T X`` for ``lam_min``, or ``None`` if X is rank deficient;
+    ``ab.z_perp`` is scaled back to the given pair.
     """
-    # the norm is the square root of a sum of squares, which can overflow
-    # where every entry and the norm itself are finite
-    with np.errstate(over="ignore"):
-        err_norm = float(np.linalg.norm(err))
-    if not math.isfinite(err_norm):
-        raise ValueError("squared residual norm ||X X^T - Z Z^T||_F^2 overflows float64")
+    k = -(math.frexp(float(np.abs(err).max()))[1] // 2)
+    x, z, err = np.ldexp(x, k), np.ldexp(z, k), np.ldexp(err, 2 * k)
+    err_norm = float(np.linalg.norm(err))
     z_perp = z - x @ (pinv(x) @ z)
     outer = z_perp @ z_perp.T
     outer_norm = float(np.linalg.norm(outer))
@@ -108,13 +109,14 @@ def _pair_geometry(x, z, err):
     if lam_min <= ZERO_RTOL * float(gram_eigs[0]):  # X is rank deficient
         lam_min, v_min = 0.0, None
 
+    given_z_perp = np.ldexp(z_perp, -k)
     if outer_norm == 0.0:
-        ab = AlphaBeta(alpha=0.0, beta=lam_min / err_norm, z_perp=z_perp, degenerate=True)
+        ab = AlphaBeta(alpha=0.0, beta=lam_min / err_norm, z_perp=given_z_perp, degenerate=True)
     else:
         alpha = _check_unit(outer_norm / err_norm)
         beta = lam_min * float(np.trace(outer)) / (err_norm * outer_norm)
-        ab = AlphaBeta(alpha=alpha, beta=beta, z_perp=z_perp)
-    return ab, err_norm, outer_norm, v_min
+        ab = AlphaBeta(alpha=alpha, beta=beta, z_perp=given_z_perp)
+    return ab, (x, z, err, z_perp), err_norm, outer_norm, v_min
 
 
 def kappa_lb_closed_form(ab: AlphaBeta) -> BoundEvaluation:
@@ -196,7 +198,7 @@ def cos_theta_lb(alpha: float, beta: float, t: float) -> float:
     alpha = _check_unit(alpha)
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    if t < -1e-12 or t > alpha * beta + 1e-12:
+    if t < -ZERO_RTOL or t > alpha * beta + ZERO_RTOL:
         raise ValueError(f"t must lie in [0, alpha*beta], got t={t}")
     ratio = min(max(t / beta, 0.0), 1.0)
     return alpha * ratio + math.sqrt(max(0.0, 1.0 - alpha * alpha)) * math.sqrt(

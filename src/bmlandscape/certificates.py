@@ -223,15 +223,15 @@ def cos_theta_witness(x, z, tau: float):
     Z_perp^T||_F)`` makes ``<J_X^T J_X, W> = 2 tau beta``, and the objective
     equals ``sqrt(1-tau^2) sqrt(1-alpha^2) + tau alpha``.  The two norms,
     ``Z_perp``, the ``lam_min(X^T X)`` eigenvector and the full-rank test
-    come from ``alpha_beta``'s one pass over the pair.  The two eigenvalue
+    come from ``alpha_beta``'s one pass over the pair, and the witness is
+    built on the pair as that pass scales it.  The two eigenvalue
     residuals are those of the pair scaled to ``||e|| = 1`` (times ``||e||``).
     """
-    x, z, e = pair_residual(x, z)
-    ab, e_norm, e2_norm, v_min = _pair_geometry(x, z, e)
+    ab, (x, z, e, z_perp), e_norm, e2_norm, v_min = _pair_geometry(*pair_residual(x, z))
     tau = float(tau)
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if tau > ab.alpha + 1e-12:
+    if tau > ab.alpha + ZERO_RTOL:
         raise ValueError(f"tau must not exceed alpha = {ab.alpha}, got {tau}")
     if v_min is None:
         raise ValueError("X must have full column rank")
@@ -255,7 +255,7 @@ def cos_theta_witness(x, z, tau: float):
             raise ValueError("tau > 0 requires Z to leave the range of X")
         gamma2 = tau / (e_norm * e2_norm)
         # column i is vec(z_perp[:, i] v_min^T)
-        cols = np.kron(v_min, ab.z_perp)
+        cols = np.kron(v_min, z_perp)
         w = gamma2 * (cols @ cols.T)
 
     # partial trace: the sum of the r diagonal n x n blocks of W

@@ -46,9 +46,18 @@ __all__ = ["main"]
 # relative tolerance of verify's check of the record's kappa against L/mu
 KAPPA_RTOL = 1e-9
 
-# TrialConfig's fields after the instance, in order: each is one trials flag
-# (its dest and default) and one manifest parameter
-_TRIAL_FIELDS = {f.name: f for f in dataclasses.fields(dynamics.TrialConfig)[1:]}
+# TrialConfig's fields after the instance, in order, by the dest of their
+# trials flag: each flag takes its field's default, and master_seed is --seed
+_TRIAL_FIELDS = {
+    {"master_seed": "seed"}.get(f.name, f.name): f
+    for f in dataclasses.fields(dynamics.TrialConfig)[1:]
+}
+
+# parsed keys that are no run parameter: the file flags, which the manifest
+# records as inputs and outputs, export's comment lines and the parser's own
+_NOT_PARAMETERS = frozenset(
+    ("instance", "out", "csv", "summary", "comment", "command", "handler", "size_flags", "outputs")
+)
 
 
 def _timestamp():
@@ -61,12 +70,19 @@ def _timestamp():
         raise ValueError(f"SOURCE_DATE_EPOCH must be an integer, got {raw!r}") from exc
 
 
-def _manifest(subcommand: str, parameters: dict, inputs: dict, outputs: dict) -> dict:
+def _manifest(args) -> dict:
+    """Run manifest of the parsed *args*: every value set and not a file or
+    parser key is a parameter, ``--instance`` the input, and the subcommand's
+    ``outputs`` map names each output's flag dest ("-" for stdout)."""
+    values = vars(args)
+    instance = values.get("instance")
     return {
-        "subcommand": subcommand,
-        "parameters": parameters,
-        "inputs": inputs,
-        "outputs": outputs,
+        "subcommand": args.command,
+        "parameters": {
+            k: v for k, v in values.items() if v is not None and k not in _NOT_PARAMETERS
+        },
+        "inputs": {} if instance is None else {"instance": instance},
+        "outputs": {name: values[dest] or "-" for name, dest in args.outputs.items()},
         "version": __version__,
         "timestamp": _timestamp(),
     }
@@ -91,13 +107,16 @@ def _load_instance(path: str) -> counterexample.CounterexampleInstance:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _emit(obj: dict, out_path: str | None) -> None:
-    text = serialize.dumps(obj)
+def _write(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _emit(obj: dict, out_path: str | None) -> None:
+    _write(serialize.dumps(obj), out_path)
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -117,19 +136,7 @@ def _cmd_build(args) -> int:
     inst = counterexample.build(
         args.n, args.r, args.rstar, basis_mode=args.basis, seed=args.seed
     )
-    manifest = _manifest(
-        "build",
-        {
-            "n": args.n,
-            "r": args.r,
-            "rstar": args.rstar,
-            "basis": args.basis,
-            "seed": args.seed,
-        },
-        {},
-        {"instance": args.out or "-"},
-    )
-    record = {"manifest": manifest}
+    record = {"manifest": _manifest(args)}
     record.update(inst.to_obj())
     _emit(record, args.out)
     return 0
@@ -148,12 +155,7 @@ def _cmd_verify(args) -> int:
     }
     passed = all(checks.values())
     record = {
-        "manifest": _manifest(
-            "verify",
-            {"tol": args.tol},
-            {"instance": args.instance},
-            {"report": args.out or "-"},
-        ),
+        "manifest": _manifest(args),
         "instance": {
             "n": inst.n,
             "r": inst.r,
@@ -178,23 +180,16 @@ def _cmd_bounds(args) -> int:
             raise ValueError("--r/--rstar go with --alpha/--beta, not --instance")
         inst = _load_instance(args.instance)
         ab = bounds.alpha_beta(inst.x_spur, inst.z)
-        r, r_star = inst.r, inst.r_star
-        inputs = {"instance": args.instance}
-        parameters = {}
+        args.r, args.rstar = inst.r, inst.r_star
     else:
         if args.alpha is None or args.beta is None:
             raise ValueError("provide either --instance or both --alpha and --beta")
         if (args.r is None) != (args.rstar is None):
             raise ValueError("--r and --rstar must be given together")
         ab = bounds.AlphaBeta(alpha=args.alpha, beta=args.beta)
-        r, r_star = args.r, args.rstar
-        inputs = {}
-        parameters = {"alpha": args.alpha, "beta": args.beta}
-    if r is not None:
-        parameters.update({"r": r, "rstar": r_star})
     evaluation = bounds.kappa_lb_closed_form(ab)
     record = {
-        "manifest": _manifest("bounds", parameters, inputs, {"report": args.out or "-"}),
+        "manifest": _manifest(args),
         "alpha": ab.alpha,
         "beta": ab.beta,
         "degenerate": ab.degenerate,
@@ -203,13 +198,13 @@ def _cmd_bounds(args) -> int:
         "t_opt": evaluation.t_opt,
         "gamma": evaluation.gamma_value,
     }
-    if r is not None:
-        holds, slack = bounds.valid_inequality(ab, r, r_star)
-        lo, hi = bounds.thresholds(r, r_star)
+    if args.r is not None:
+        holds, slack = bounds.valid_inequality(ab, args.r, args.rstar)
+        lo, hi = bounds.thresholds(args.r, args.rstar)
         record["valid_inequality"] = {
             "holds": holds,
             "slack": slack,
-            "min_alpha_beta": bounds.minab(r, r_star),
+            "min_alpha_beta": bounds.minab(args.r, args.rstar),
         }
         record["kappa_star_window"] = [lo, hi]
     _emit(record, args.out)
@@ -218,43 +213,23 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_trials(args) -> int:
     inst = _load_instance(args.instance)
-    values = {name: getattr(args, name) for name in _TRIAL_FIELDS}
+    values = {f.name: getattr(args, dest) for dest, f in _TRIAL_FIELDS.items()}
     report = dynamics.run_trials(dynamics.TrialConfig(instance=inst, **values))
-    # artifacts name master_seed "seed" in the manifest, as the flag does
-    parameters = {("seed" if k == "master_seed" else k): v for k, v in values.items()}
-    manifest = _manifest(
-        "trials",
-        parameters,
-        {"instance": args.instance},
-        {"csv": args.csv or "-", "summary": args.summary or "-"},
-    )
-    csv_text = "# manifest: " + _manifest_line(manifest) + "\n" + report.to_csv()
-    if args.csv is None:
-        sys.stdout.write(csv_text)
-    else:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
-    summary = {"manifest": manifest}
-    summary.update(report.to_obj())
-    if args.summary is not None:
-        _emit(summary, args.summary)
-    elif args.csv is not None:
-        _emit(summary, None)
+    manifest = _manifest(args)
+    _write("# manifest: " + _manifest_line(manifest) + "\n" + report.to_csv(), args.csv)
+    # the summary goes to its file, or to stdout when the CSV went to a file
+    if args.summary is not None or args.csv is not None:
+        _emit({"manifest": manifest, **report.to_obj()}, args.summary)
     return 0
 
 
 def _cmd_ey(args) -> int:
-    s = _parse_floats(args.s, "--s")
-    d = _parse_floats(args.d, "--d")
-    problem = eckart_young.EYProblem(s=np.array(s), d=np.array(d))
+    args.s = _parse_floats(args.s, "--s")
+    args.d = _parse_floats(args.d, "--d")
+    problem = eckart_young.EYProblem(s=np.array(args.s), d=np.array(args.d))
     solution = eckart_young.solve(problem)
     record = {
-        "manifest": _manifest(
-            "ey",
-            {"s": s, "d": d, "brute_force": args.brute_force},
-            {},
-            {"report": args.out or "-"},
-        ),
+        "manifest": _manifest(args),
         "value": solution.value,
         "weights": list(solution.weights),
         "y": serialize.matrix_to_lists(solution.y),
@@ -273,13 +248,7 @@ def _cmd_ey(args) -> int:
 def _cmd_export(args) -> int:
     inst = _load_instance(args.instance)
     cert = certificates.assemble(inst.x_spur, inst.z, args.which)
-    manifest = _manifest(
-        "export",
-        {"which": args.which},
-        {"instance": args.instance},
-        {"sdpa": args.out},
-    )
-    comments = ["manifest: " + _manifest_line(manifest)]
+    comments = ["manifest: " + _manifest_line(_manifest(args))]
     comments.extend(args.comment or [])
     certificates.export_sdpa(cert, args.out, comments=tuple(comments))
     return 0
@@ -304,13 +273,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", choices=counterexample.BASIS_MODES, default="standard")
     p.add_argument("--seed", type=int, default=0, help="basis seed (random mode)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(handler=_cmd_build, size_flags=("--n", "--r", "--rstar"))
+    p.set_defaults(
+        handler=_cmd_build, size_flags=("--n", "--r", "--rstar"), outputs={"instance": "out"}
+    )
 
     p = sub.add_parser("verify", help="check the spurious second-order point")
     p.add_argument("--instance", required=True)
     p.add_argument("--tol", type=float, default=objective.STATIONARY_TOL)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_verify, size_flags=("--instance",))
+    p.set_defaults(handler=_cmd_verify, size_flags=("--instance",), outputs={"report": "out"})
 
     p = sub.add_parser("bounds", help="condition-number bounds from (alpha, beta)")
     p.add_argument("--instance", default=None)
@@ -319,37 +290,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--rstar", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_bounds, size_flags=("--instance",))
+    p.set_defaults(handler=_cmd_bounds, size_flags=("--instance",), outputs={"report": "out"})
 
     p = sub.add_parser("trials", help="run the escape experiment")
     p.add_argument("--instance", required=True)
     types = typing.get_type_hints(dynamics.TrialConfig)
-    for name, field in _TRIAL_FIELDS.items():
-        flag = {"learning_rate": "--lr", "master_seed": "--seed"}.get(name, "--" + name)
+    for dest, field in _TRIAL_FIELDS.items():
         p.add_argument(
-            flag.replace("_", "-"),
-            dest=name,
-            type=types[name],
+            "--lr" if dest == "learning_rate" else "--" + dest.replace("_", "-"),
+            dest=dest,
+            type=types[field.name],
             required=field.default is dataclasses.MISSING,
             default=field.default,
         )
     p.add_argument("--csv", default=None, help="per-trial CSV path (default stdout)")
     p.add_argument("--summary", default=None, help="aggregate JSON path")
-    p.set_defaults(handler=_cmd_trials, size_flags=("--search-rank", "--trials"))
+    p.set_defaults(
+        handler=_cmd_trials,
+        size_flags=("--search-rank", "--trials"),
+        outputs={"csv": "csv", "summary": "summary"},
+    )
 
     p = sub.add_parser("ey", help="regularized low-rank approximation in spectral form")
     p.add_argument("--s", required=True, help="target spectrum, descending (e.g. 3,2,1)")
     p.add_argument("--d", required=True, help="penalty spectrum, ascending (e.g. 0.5,1.5)")
     p.add_argument("--brute-force", action="store_true", help="cross-check by enumeration")
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_ey, size_flags=("--s", "--d"))
+    p.set_defaults(handler=_cmd_ey, size_flags=("--s", "--d"), outputs={"report": "out"})
 
     p = sub.add_parser("export", help="write a certificate program in SDPA sparse format")
     p.add_argument("--instance", required=True)
     p.add_argument("--which", choices=certificates.SYSTEMS, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--comment", action="append", help="extra comment line (repeatable)")
-    p.set_defaults(handler=_cmd_export, size_flags=("--instance",))
+    p.set_defaults(handler=_cmd_export, size_flags=("--instance",), outputs={"sdpa": "out"})
 
     return parser
 
@@ -359,15 +333,16 @@ _PARSER = _build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    # the flags that set the array sizes, with their values as typed: handlers
+    # write resolved values back into args for the manifest
+    sizes = " ".join(
+        f"{flag} {value}"
+        for flag in args.size_flags
+        if (value := getattr(args, flag[2:].replace("-", "_"))) is not None
+    )
     try:
         return args.handler(args)
     except MemoryError as exc:
-        # name the flags that set the array sizes, with their values
-        sizes = " ".join(
-            f"{flag} {value}"
-            for flag in args.size_flags
-            if (value := getattr(args, flag[2:].replace("-", "_"))) is not None
-        )
         print(f"error: {args.command} {sizes}: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -34,7 +34,8 @@ __all__ = [
 PINV_TOL_SCALE = 1e-10
 
 # A quantity counts as zero when it is at most ZERO_RTOL times the scale it is
-# measured against; the package's one zero test.
+# measured against; the package's one zero test, and the slack of its checks
+# that a unit-scale value lies in its interval.
 ZERO_RTOL = 1e-12
 
 

@@ -94,12 +94,18 @@ def test_alpha_beta_rejects_row_mismatch():
             caller(np.ones((3, 1)), np.ones((4, 1)))
 
 
-def test_alpha_beta_rejects_overflowing_residual_norm():
-    # every entry of X X^T - Z Z^T and its norm (about 1e200) are finite,
-    # its squared norm is not; a RuntimeWarning on the way fails the test
+def test_alpha_beta_at_overflowing_squared_residual_norm():
+    # ||X X^T - Z Z^T||_F^2 overflows float64 for each pair below, though
+    # every entry of the residual is finite; the pair is scaled by a power of
+    # two first, so the jointly scaled pairs keep the unscaled kappa_lb and
+    # X alone at 1e100 gives finite invariants.  A RuntimeWarning fails the test
     inst = counterexample.build(4, 2, 1)
-    with pytest.raises(ValueError, match=r"squared residual norm \|\|X X\^T - Z Z\^T\|\|_F\^2 overflows"):
-        bounds.alpha_beta(1e100 * inst.x_spur, inst.z)
+    kappa = bounds.kappa_lb_closed_form(bounds.alpha_beta(inst.x_spur, inst.z)).kappa_lb
+    for scale in (1e77, 1e150):
+        scaled = bounds.alpha_beta(scale * inst.x_spur, scale * inst.z)
+        assert bounds.kappa_lb_closed_form(scaled).kappa_lb == pytest.approx(kappa, rel=1e-15)
+    ab = bounds.alpha_beta(1e100 * inst.x_spur, inst.z)
+    assert math.isfinite(ab.alpha) and math.isfinite(ab.beta)
 
 
 def test_alpha_beta_degenerate_when_truth_in_span():
@@ -143,6 +149,28 @@ def test_invariants_do_not_change_under_joint_scaling(shape, basis_mode, seed, s
     kappa = bounds.kappa_lb_closed_form(ab).kappa_lb
     assert math.isfinite(kappa)
     assert bounds.kappa_lb_closed_form(scaled).kappa_lb == pytest.approx(kappa, rel=1e-12, abs=0.0)
+
+
+def scale_pairs():
+    for shape, basis_mode, seed in SCALE_CASES:
+        inst = counterexample.build(*shape, basis_mode=basis_mode, seed=seed)
+        yield inst.x_spur, inst.z
+    rng = np.random.default_rng(SEED)
+    for _ in range(20):
+        n = int(rng.integers(2, 8))
+        r = int(rng.integers(1, n))
+        yield rng.standard_normal((n, r)), rng.standard_normal((n, int(rng.integers(1, r + 1))))
+
+
+@pytest.mark.parametrize("k", [-40, -3, -1, 1, 2, 37])
+def test_invariants_keep_their_bits_under_power_of_two_scaling(k):
+    # scaling by 2^k is exact, and alpha_beta scales every pair by the power
+    # of two that puts max |E| in [1/2, 2) before any rounding step
+    for x, z in scale_pairs():
+        ab = bounds.alpha_beta(x, z)
+        scaled = bounds.alpha_beta(np.ldexp(x, k), np.ldexp(z, k))
+        assert (scaled.alpha, scaled.beta) == (ab.alpha, ab.beta)
+        assert np.array_equal(scaled.z_perp, np.ldexp(ab.z_perp, k))
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bmlandscape
-from bmlandscape import __version__, certificates, counterexample
+from bmlandscape import __version__, certificates, cli, counterexample
 from bmlandscape.cli import main
 
 
@@ -587,19 +588,22 @@ def test_bounds_rejects_non_finite_beta(capsys, beta):
     assert err.startswith("error: beta must be finite")
 
 
-def test_bounds_overflowing_residual_norm_is_input_error(capsys, tmp_path):
-    # the record loads (x_spur x_spur^T is finite) but ||X X^T - Z Z^T||_F^2
-    # is not; a RuntimeWarning on the way fails the test
-    path = build_instance(capsys, tmp_path, n=4, r=2, rstar=1)
-    record = json.loads(path.read_text())
-    record["x_spur"] = [[1e100 * v for v in row] for row in record["x_spur"]]
-    path.write_text(json.dumps(record))
-    report = tmp_path / "bounds.json"
-    rc, out, err = run(capsys, "bounds", "--instance", str(path), "--out", str(report))
-    assert rc == 2 and out == ""
-    assert err == "error: squared residual norm ||X X^T - Z Z^T||_F^2 overflows float64\n"
-    assert "RuntimeWarning" not in err
-    assert not report.exists()
+def test_bounds_instance_at_large_joint_scale_is_finite(capsys, tmp_path):
+    # x_spur, z and the objective's Z scaled by 1e77 and by 1e150 load, and
+    # ||X X^T - Z Z^T||_F^2 overflows float64 for both; kappa_lb does not
+    # change.  A RuntimeWarning on the way fails the test
+    built = build_instance(capsys, tmp_path, n=4, r=2, rstar=1)
+    _, out, _ = run(capsys, "bounds", "--instance", str(built))
+    unscaled = json.loads(out)["kappa_lb"]
+    for scale in (1e77, 1e150):
+        record = json.loads(built.read_text())
+        for holder, key in ((record, "x_spur"), (record, "z"), (record["objective"], "Z")):
+            holder[key] = [[scale * v for v in row] for row in holder[key]]
+        path = tmp_path / f"scaled-{scale}.json"
+        path.write_text(json.dumps(record))
+        rc, out, err = run(capsys, "bounds", "--instance", str(path))
+        assert rc == 0 and err == ""
+        assert json.loads(out)["kappa_lb"] == pytest.approx(unscaled, rel=1e-15, abs=0.0)
 
 
 def test_bounds_instance_at_small_joint_scale_is_finite(capsys, tmp_path):
@@ -789,18 +793,28 @@ def test_export_reruns_byte_identical(capsys, tmp_path):
     assert out_path.read_bytes() == first
 
 
-# sha256 of the files verify and trials write, run from the output directory
+# sha256 of the files the subcommands write, run from the output directory
 # so the manifests carry relative paths; trials passes only the flags below,
-# so its manifest carries every other default.  Computed before the report
-# fields, the trials flags and their defaults were each given one definition.
+# so its manifest carries every other default.  The first three were computed
+# before the report fields, the trials flags and their defaults were each given
+# one definition, the rest before the manifests were derived from the parsed
+# arguments.
 CLI_SHA256 = {
     "verify.json": "6823d8c6dcde3d2316da36d14830f5a1eb90d80e41da954a13f4dd2a4c1a94b3",
     "runs.csv": "e9ed1449d14b26d3211185e204d9694438fa8fb907cb44646beff3f6fb2719da",
     "runs.json": "d96ddff2b7a70680bf7c855397e7527e5be1c79eaea7a55f91c49ee2dfd328ed",
+    "random.json": "c650c7b7d53b9621654586a38db65ef32e3279ac8c391b2ec4fd124045329ff2",
+    "bounds-instance.json": "b46711ec6ff07e960c45c472951895ce7bca15459b99305c6c4f5ca7536c6b16",
+    "bounds-ab.json": "d480cd4672db5e3fb9c5af8de3fbff3d8fed251eea29f38ae086154d64d33984",
+    "bounds-ab-r.json": "c2d29e09d28cbb31f3ac94ebd3aa17fc7f5486b28ae933808c090317517438b5",
+    "ey.json": "b5d95c276f1e25aa76a9677740482f8d93e6c42742b8732a75fe005789f93926",
+    "ub.dat-s": "2438bb70ee55d44fe1b785bb566d2f793325f4cb8a9683219746d4634c190ac5",
+    "lb.dat-s": "fbef748fcbbccd799cbbc4629f1f287df19813e0fd46aa2fe0ab617ff1c9a669",
+    "epoch.json": "d281b16c067538a4acfe1ed37b3694654f04f4341f972767040b549465751612",
 }
 
 
-def test_verify_and_trials_output_bytes_pinned(capsys, tmp_path, monkeypatch):
+def test_cli_output_bytes_pinned(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, dims in (("inst532.json", ("5", "3", "2")), ("inst421.json", ("4", "2", "1"))):
         argv = ["build", "--n", dims[0], "--r", dims[1], "--rstar", dims[2], "--out", name]
@@ -811,6 +825,21 @@ def test_verify_and_trials_output_bytes_pinned(capsys, tmp_path, monkeypatch):
         "--trials", "4", "--max-iters", "50", "--csv", "runs.csv", "--summary", "runs.json",
     )
     assert rc == 0 and out == ""
+    runs = (
+        ("build", "--n", "6", "--r", "4", "--rstar", "2", "--basis", "random", "--seed", "3",
+         "--out", "random.json"),
+        ("bounds", "--instance", "inst532.json", "--out", "bounds-instance.json"),
+        ("bounds", "--alpha", "0.5", "--beta", "0.25", "--out", "bounds-ab.json"),
+        ("bounds", "--alpha", "0.5", "--beta", "0.25", "--r", "3", "--rstar", "2",
+         "--out", "bounds-ab-r.json"),
+        ("ey", "--s", "3,2,1", "--d", "0.5,1.5", "--brute-force", "--out", "ey.json"),
+        *(("export", "--instance", "inst421.json", "--which", which, "--out", f"{which}.dat-s",
+           "--comment", "first line", "--comment", "second line") for which in ("ub", "lb")),
+    )
+    for argv in runs:
+        assert run(capsys, *argv) == (0, "", "")
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    assert run(capsys, "verify", "--instance", "inst421.json", "--out", "epoch.json")[0] == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in CLI_SHA256
@@ -984,6 +1013,42 @@ def test_listed_malformed_flags_exit_2(argv):
 def test_oversized_flags_are_named_in_the_error(argv, prefix):
     err = _run_malformed(argv)
     assert err.startswith(prefix) and "Unable to allocate" in err
+
+
+def test_memory_error_names_the_size_flags_as_typed(capsys, monkeypatch):
+    # ey writes its parsed spectra back into args for the manifest; the error
+    # line still shows the flags' text
+    def fail(problem):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(cli.eckart_young, "solve", fail)
+    rc, out, err = run(capsys, "ey", "--s", "3, 2,1", "--d", "0.5")
+    assert (rc, out, err) == (2, "", "error: ey --s 3, 2,1 --d 0.5: Unable to allocate\n")
+
+
+# a minimal valid argv of each subcommand; parsing it runs no handler
+MINIMAL_ARGV = {
+    "build": ["--n", "2", "--r", "1", "--rstar", "1"],
+    "verify": ["--instance", "inst.json"],
+    "bounds": ["--alpha", "0.5", "--beta", "0.25"],
+    "trials": ["--instance", "inst.json", "--search-rank", "1"],
+    "ey": ["--s", "1", "--d", "1"],
+    "export": ["--instance", "inst.json", "--which", "ub", "--out", "cert.dat-s"],
+}
+
+
+def test_every_subcommand_maps_its_outputs_to_parsed_dests():
+    # the manifest reads each output's path from the dest its outputs map
+    # names; a subcommand without the map would end in a traceback
+    sub = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(MINIMAL_ARGV)
+    for command, argv in MINIMAL_ARGV.items():
+        args = cli._PARSER.parse_args([command, *argv])
+        assert args.outputs and set(args.outputs.values()) <= set(vars(args))
+        manifest = cli._manifest(args)
+        assert manifest["subcommand"] == command
+        assert set(manifest["outputs"]) == set(args.outputs)
+        assert not set(manifest["parameters"]) & cli._NOT_PARAMETERS
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
