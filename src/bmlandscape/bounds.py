@@ -44,8 +44,6 @@ __all__ = [
 class AlphaBeta:
     """The (alpha, beta) invariants of a factor pair.
 
-    ``z_perp`` is populated when the invariants were computed from matrices
-    and left at its default when the scalars were supplied directly.
     ``degenerate`` is set when ``Z_perp`` vanishes identically; in that case
     ``alpha`` is zero and ``beta`` falls back to
     ``lam_min(X^T X) / ||X X^T - Z Z^T||_F``.
@@ -53,7 +51,6 @@ class AlphaBeta:
 
     alpha: float
     beta: float
-    z_perp: np.ndarray | None = None
     degenerate: bool = False
 
 
@@ -94,8 +91,7 @@ def _pair_geometry(x, z, err):
     in [1/2, 2): the scaling is exact, (alpha, beta) are scale-free, and
     ``||E||_F`` cannot overflow.  Returns ``(ab, (X, Z, E, Z_perp), ||E||_F,
     ||Z_perp Z_perp^T||_F, v)`` for the scaled pair, with ``v`` the unit
-    eigenvector of ``X^T X`` for ``lam_min``, or ``None`` if X is rank deficient;
-    ``ab.z_perp`` is scaled back to the given pair.
+    eigenvector of ``X^T X`` for ``lam_min``, or ``None`` if X is rank deficient.
     """
     k = -(math.frexp(float(np.abs(err).max()))[1] // 2)
     x, z, err = np.ldexp(x, k), np.ldexp(z, k), np.ldexp(err, 2 * k)
@@ -109,13 +105,12 @@ def _pair_geometry(x, z, err):
     if lam_min <= ZERO_RTOL * float(gram_eigs[0]):  # X is rank deficient
         lam_min, v_min = 0.0, None
 
-    given_z_perp = np.ldexp(z_perp, -k)
     if outer_norm == 0.0:
-        ab = AlphaBeta(alpha=0.0, beta=lam_min / err_norm, z_perp=given_z_perp, degenerate=True)
+        ab = AlphaBeta(alpha=0.0, beta=lam_min / err_norm, degenerate=True)
     else:
         alpha = _check_unit(outer_norm / err_norm)
         beta = lam_min * float(np.trace(outer)) / (err_norm * outer_norm)
-        ab = AlphaBeta(alpha=alpha, beta=beta, z_perp=given_z_perp)
+        ab = AlphaBeta(alpha=alpha, beta=beta)
     return ab, (x, z, err, z_perp), err_norm, outer_norm, v_min
 
 

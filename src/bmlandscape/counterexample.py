@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, serialize
+from .matkernel import overflow_checked
 from .objective import STATIONARY_TOL, QuadraticObjective, SecondOrderReport
 
 __all__ = [
@@ -137,12 +138,8 @@ class CounterexampleInstance:
                 raise ValueError(f"record field {name}={obj[name]!r} is not an integer")
         factors = {}
         for name in ("x_spur", "z"):
-            f = serialize.matrix_from_lists(obj[name])
-            with np.errstate(over="ignore", invalid="ignore"):
-                gram = f @ f.T
-            if not np.all(np.isfinite(gram)):
-                raise ValueError(f"Gram matrix {name} {name}^T overflows float64")
-            factors[name] = f
+            factors[name] = f = serialize.matrix_from_lists(obj[name])
+            overflow_checked(f"Gram matrix {name} {name}^T")(np.matmul)(f, f.T)
         inst = cls(
             basis_mode=mode,
             seed=seed,

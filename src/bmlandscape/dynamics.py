@@ -105,8 +105,8 @@ class TrialConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if not 0.0 < self.radius < np.inf:
             raise ValueError("radius must be positive and finite")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+        if not 0 <= self.max_iters < 2**63:
+            raise ValueError("max_iters must be nonnegative and fit in a signed 64-bit integer")
         if self.trials < 1:
             raise ValueError("at least one trial is required")
         if not 0 <= self.master_seed < 2**64:

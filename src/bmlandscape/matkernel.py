@@ -14,6 +14,8 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -23,6 +25,7 @@ __all__ = [
     "pinv",
     "vec",
     "unvec",
+    "overflow_checked",
     "pair_residual",
     "jacobian_apply",
     "jacobian_matrix",
@@ -94,12 +97,41 @@ def unvec(x) -> np.ndarray:
     return x.reshape((n, n), order="F")
 
 
+def overflow_checked(what: str):
+    """Decorator: the package's one overflow rule.
+
+    Runs the function with numpy's overflow and invalid-value warnings
+    silenced, and returns its result if every entry is finite; otherwise
+    raises ``ValueError`` naming *what*.
+    """
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def checked(*args, **kwargs):
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = fn(*args, **kwargs)
+            if not np.all(np.isfinite(out)):
+                raise ValueError(f"{what} overflows float64")
+            return out
+
+        return checked
+
+    return decorate
+
+
+@overflow_checked("residual X X^T - Z Z^T")
+def _grams_and_residual(x, z):
+    xx, zz = x @ x.T, z @ z.T
+    return xx, zz, xx - zz
+
+
 def pair_residual(x, z):
     """Validated factors ``(X, Z)`` of a pair and their residual ``X X^T - Z Z^T``.
 
     Rejects factors with different row counts, a residual that overflows
-    float64 and a pair with identical Gram matrices: ``max |E|`` at most
-    ``ZERO_RTOL`` times the larger of ``max |X X^T|`` and ``max |Z Z^T|``.
+    (:func:`overflow_checked`) and a pair with identical Gram matrices:
+    ``max |E|`` at most ``ZERO_RTOL`` times the larger of ``max |X X^T|``
+    and ``max |Z Z^T|``.
     """
     x = as_factor(x)
     z = as_factor(z)
@@ -107,11 +139,7 @@ def pair_residual(x, z):
         raise ValueError(
             f"factors must share their row count, got {x.shape} and {z.shape}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        xx, zz = x @ x.T, z @ z.T
-        e = xx - zz
-    if not np.all(np.isfinite(e)):
-        raise ValueError("residual X X^T - Z Z^T overflows float64")
+    xx, zz, e = _grams_and_residual(x, z)
     if np.abs(e).max() <= ZERO_RTOL * max(np.abs(xx).max(), np.abs(zz).max()):
         raise ValueError("factor pair has identical Gram matrices X X^T = Z Z^T")
     return x, z, e

@@ -36,7 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .matkernel import ZERO_RTOL, as_factor, jacobian_apply, jacobian_matrix, sym_eig
+from .matkernel import (
+    ZERO_RTOL, as_factor, jacobian_apply, jacobian_matrix, overflow_checked, sym_eig
+)
 
 __all__ = ["STATIONARY_TOL", "QuadraticObjective", "SecondOrderReport", "symmetric_basis"]
 
@@ -120,11 +122,7 @@ class QuadraticObjective:
         self.ground_truth = z
         self.n = n1
         self.r_star = z.shape[1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            m_star = z @ z.T
-        if not np.all(np.isfinite(m_star)):
-            raise ValueError("ground-truth Gram matrix Z Z^T overflows float64")
-        self.m_star = m_star
+        self.m_star = overflow_checked("ground-truth Gram matrix Z Z^T")(np.matmul)(z, z.T)
 
     # -- batched kernels -------------------------------------------------
     #
@@ -136,8 +134,7 @@ class QuadraticObjective:
     # by the row count, and a row's bits then depend on the batch's size
     # (a one-row product differed from the same row of a 100-row one in
     # nearly every row tried).  matmul warns on overflow where einsum did
-    # not; callers that expect overflow silence it themselves, outside any
-    # hot loop.
+    # not; the single-factor methods and the trial engine silence it.
 
     def residuals(self, x) -> np.ndarray:
         """Residuals E_b = X_b X_b^T - M* of a batch of factors."""
@@ -191,58 +188,40 @@ class QuadraticObjective:
 
     # -- factored-space evaluations --------------------------------------
 
-    def _check_factor(self, x) -> np.ndarray:
+    def _terms(self, x):
+        """Checked factor X, its residual E and S = grad phi(X X^T), each a batch of one."""
         x = as_factor(x)
         if x.shape[0] != self.n:
             raise ValueError(f"factor has {x.shape[0]} rows, expected {self.n}")
-        return x
+        e = self.residuals(x[None])
+        return x[None], e, self.apply_gram(e)
 
-    def _s_term(self, x) -> np.ndarray:
-        """S = grad phi(X X^T) for one checked factor."""
-        return self.apply_gram(self.residuals(x[None]))[0]
-
+    @overflow_checked("objective value f(X)")
     def f_eval(self, x) -> float:
-        xb = self._check_factor(x)[None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = self.residuals(xb)
-            value = float(self.values(e, self.apply_gram(e))[0])
-        if not math.isfinite(value):
-            raise ValueError("objective value f(X) overflows float64")
-        return value
+        _, e, s = self._terms(x)
+        return float(self.values(e, s)[0])
 
+    @overflow_checked("gradient of f at X")
     def f_grad(self, x) -> np.ndarray:
-        xb = self._check_factor(x)[None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad = self.grads(xb, self.apply_gram(self.residuals(xb)))[0]
-        if not np.all(np.isfinite(grad)):
-            raise ValueError("gradient of f at X overflows float64")
-        return grad
+        xb, _, s = self._terms(x)
+        return self.grads(xb, s)[0]
 
+    @overflow_checked("Hessian quadratic form of f at X")
     def f_hess_quadform(self, x, v) -> float:
-        """Quadratic form <hess f(X)[V], V> along a direction V."""
-        x = self._check_factor(x)
-        v = self._check_factor(v)
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = self._s_term(x)
-            w = jacobian_apply(x, v)
-            hw = self.apply_gram((0.5 * (w + w.T))[None])[0]
-            value = 2.0 * float(np.vdot(s, v @ v.T)) + float(np.vdot(hw, w))
-        if not math.isfinite(value):
-            raise ValueError("Hessian quadratic form of f at X overflows float64")
-        return value
+        """Quadratic form <hess f(X)[V], V> along a direction V of X's shape."""
+        (x,), _, (s,) = self._terms(x)
+        v = as_factor(v)
+        w = jacobian_apply(x, v)
+        hw = self.apply_gram((0.5 * (w + w.T))[None])[0]
+        return 2.0 * float(np.vdot(s, v @ v.T)) + float(np.vdot(hw, w))
 
+    @overflow_checked("Hessian of f at X")
     def f_hess_matrix(self, x) -> np.ndarray:
         """Dense (n*r) x (n*r) Hessian of f at X in vec coordinates."""
-        x = self._check_factor(x)
-        r = x.shape[1]
+        (x,), _, (s,) = self._terms(x)
         j = jacobian_matrix(x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = self._s_term(x)
-            h = j.T @ self.gram_symmetric @ j + 2.0 * np.kron(np.eye(r), s)
-            h = 0.5 * (h + h.T)
-        if not np.all(np.isfinite(h)):
-            raise ValueError("Hessian of f at X overflows float64")
-        return h
+        h = j.T @ self.gram_symmetric @ j + 2.0 * np.kron(np.eye(x.shape[1]), s)
+        return 0.5 * (h + h.T)
 
     def check_second_order(self, x, tol: float = STATIONARY_TOL) -> SecondOrderReport:
         """Evaluate first/second-order stationarity of f at X."""

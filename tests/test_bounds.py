@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bmlandscape import bounds, certificates, counterexample
+from bmlandscape.matkernel import pair_residual
 
 SEED = 47101
 
@@ -111,10 +112,10 @@ def test_alpha_beta_at_overflowing_squared_residual_norm():
 def test_alpha_beta_degenerate_when_truth_in_span():
     x = 2.0 * np.eye(2)
     z = np.array([[1.0], [0.0]])
-    ab = bounds.alpha_beta(x, z)
+    ab, (*_, z_perp), *_ = bounds._pair_geometry(*pair_residual(x, z))
     assert ab.degenerate
     assert ab.alpha == 0.0
-    assert np.linalg.norm(ab.z_perp) <= 1e-14
+    assert np.linalg.norm(z_perp) <= 1e-14
     ev = bounds.kappa_lb_closed_form(ab)
     assert math.isinf(ev.kappa_lb)
 
@@ -165,12 +166,15 @@ def scale_pairs():
 @pytest.mark.parametrize("k", [-40, -3, -1, 1, 2, 37])
 def test_invariants_keep_their_bits_under_power_of_two_scaling(k):
     # scaling by 2^k is exact, and alpha_beta scales every pair by the power
-    # of two that puts max |E| in [1/2, 2) before any rounding step
+    # of two that puts max |E| in [1/2, 2) before any rounding step, so both
+    # pairs reach the same scaled pair and the same Z_perp
     for x, z in scale_pairs():
-        ab = bounds.alpha_beta(x, z)
-        scaled = bounds.alpha_beta(np.ldexp(x, k), np.ldexp(z, k))
+        ab, (*_, z_perp), *_ = bounds._pair_geometry(*pair_residual(x, z))
+        scaled, (*_, scaled_z_perp), *_ = bounds._pair_geometry(
+            *pair_residual(np.ldexp(x, k), np.ldexp(z, k))
+        )
         assert (scaled.alpha, scaled.beta) == (ab.alpha, ab.beta)
-        assert np.array_equal(scaled.z_perp, np.ldexp(ab.z_perp, k))
+        assert np.array_equal(scaled_z_perp, z_perp)
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])

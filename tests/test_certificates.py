@@ -112,6 +112,26 @@ def test_verify_ub_flags_bad_h():
     assert report.residuals["gradient_orthogonality"] > 1e-3
 
 
+@pytest.mark.parametrize("basis_mode", ce.BASIS_MODES)
+def test_ub_residuals_at_the_measurement_gram_are_the_objectives_stationarity(basis_mode):
+    # with H the measurement Gram, J_X^T H e is vec(grad f(X)) and the ub
+    # matrix inequality is the Hessian of f, so verify_ub's two stationarity
+    # residuals are check_second_order's gradient norm and least eigenvalue
+    rng = np.random.default_rng(SEED + 9)
+    shapes = [(n, r, rs) for n in range(2, 7) for r in range(1, n) for rs in range(1, r + 1)]
+    for n, r, rs in shapes:
+        inst = ce.build(n, r, rs, basis_mode=basis_mode, seed=n)
+        h = inst.objective.measurement_gram()
+        for x in (inst.x_spur, inst.x_spur + 0.1 * rng.standard_normal(inst.x_spur.shape)):
+            residuals = certs.verify_ub(certs.assemble(x, inst.z, "ub"), inst.kappa, h).residuals
+            report = inst.objective.check_second_order(x)
+            for got, want in (
+                (residuals["gradient_orthogonality"], report.grad_norm),
+                (residuals["hessian_lmi"], report.hess_min_eig),
+            ):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), ((n, r, rs), got, want)
+
+
 @pytest.mark.parametrize("n,r,rs", [(5, 3, 2), (4, 2, 1)])
 def test_verify_lb_with_zero_slack(n, r, rs):
     # (kappa, H, s=0) is feasible for the built pairs: the gradient condition
@@ -244,8 +264,8 @@ def test_witness_makes_one_pass_over_the_pair(monkeypatch):
     # one residual, one X^T X eigendecomposition and one ||Z_perp Z_perp^T||_F
     # per call, shared with the (alpha, beta) invariants
     inst = ce.build(5, 3, 2)
-    ab = bounds.alpha_beta(inst.x_spur, inst.z)
-    outer = ab.z_perp @ ab.z_perp.T
+    ab, (*_, z_perp), *_ = bounds._pair_geometry(*certs.pair_residual(inst.x_spur, inst.z))
+    outer = z_perp @ z_perp.T
     residual, sym_eig, norm = certs.pair_residual, certs.sym_eig, np.linalg.norm
     seen = []
 

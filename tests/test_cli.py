@@ -1009,6 +1009,13 @@ def test_listed_malformed_flags_exit_2(argv):
     _run_malformed(argv)
 
 
+def test_max_iters_beyond_int64_is_named_in_the_error():
+    # the engine counts iterations in int64, so a larger budget is an input
+    # error, not an OverflowError from the engine
+    err = _run_malformed(TRIALS + ["--max-iters", str(10**30)])
+    assert err.startswith("error: max_iters must be nonnegative")
+
+
 @pytest.mark.parametrize("argv,prefix", OVERSIZED, ids=["search-rank", "trials", "build-n"])
 def test_oversized_flags_are_named_in_the_error(argv, prefix):
     err = _run_malformed(argv)

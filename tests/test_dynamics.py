@@ -45,6 +45,7 @@ def test_config_rejects_search_rank_below_instance_rank():
         ("radius", 0.0),
         ("radius", np.inf),
         ("max_iters", -1),
+        ("max_iters", 2**63),  # the engine counts iterations in int64
         ("trials", 0),
         ("master_seed", -1),
         ("master_seed", 2**64),

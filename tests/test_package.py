@@ -70,3 +70,23 @@ def test_constants_are_read_outside_their_own_assignment():
     ]
     assert "ZERO_RTOL" in constants
     assert [name for name in constants if name not in read] == []
+
+
+def test_overflow_rule_is_written_once():
+    # matkernel.overflow_checked silences, tests and raises for every value
+    # that may overflow; the trial engine silences overflow on its own, as a
+    # diverging trial is an outcome it reports, not an error
+    source = pathlib.Path(bmlandscape.__file__).parent
+    found = set()
+    for path in source.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        tops = ast.parse(text).body
+        for match in re.finditer(r"overflows\s+float64|np\.errstate", text):
+            line = text.count("\n", 0, match.start()) + 1
+            owner = [getattr(node, "name", "") for node in tops if node.lineno <= line <= node.end_lineno]
+            found.add((path.stem, *owner, re.sub(r"\s+", " ", match.group())))
+    assert found == {
+        ("matkernel", "overflow_checked", "overflows float64"),
+        ("matkernel", "overflow_checked", "np.errstate"),
+        ("dynamics", "_run_batch", "np.errstate"),
+    }
