@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkernel import ZERO_RTOL, pair_residual, pinv, sym_eig
+from .matkernel import ZERO_RTOL, overflow_checked, pair_residual, pinv, sym_eig
 
 __all__ = [
     "AlphaBeta",
@@ -175,7 +175,7 @@ def valid_inequality(ab: AlphaBeta, r: int, r_star: int) -> tuple[bool, float]:
     a2 = ab.alpha * ab.alpha
     b2 = ab.beta * ab.beta
     slack = 1.0 - a2 - (r / r_star) * min(a2, b2)
-    return slack >= -1e-9, slack
+    return slack >= -ZERO_RTOL, slack
 
 
 def minab(r: int, r_star: int) -> float:
@@ -242,9 +242,11 @@ def thresholds(r: int, r_star: int) -> tuple[float, float]:
 
 def sufficient_rank(kappa: float, r_star: int) -> int:
     """Smallest search rank guaranteeing a benign landscape at condition number kappa."""
-    if kappa < 1.0:
-        raise ValueError(f"kappa must be at least 1, got {kappa}")
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and at least 1, got {kappa}")
     if r_star < 1:
         raise ValueError(f"r_star must be at least 1, got {r_star}")
-    threshold = 0.25 * (kappa - 1.0) ** 2 * r_star
-    return max(r_star, int(math.floor(threshold + 1e-12)) + 1)
+    threshold = overflow_checked("rank threshold 0.25 (kappa - 1)^2 r_star")(
+        lambda: 0.25 * (kappa - 1.0) * (kappa - 1.0) * r_star * (1.0 + ZERO_RTOL)
+    )()
+    return max(r_star, int(math.floor(threshold)) + 1)

@@ -39,12 +39,10 @@ from . import (
     objective,
     serialize,
 )
+from .matkernel import ZERO_RTOL
 
 __all__ = ["main"]
 
-
-# relative tolerance of verify's check of the record's kappa against L/mu
-KAPPA_RTOL = 1e-9
 
 # TrialConfig's fields after the instance, in order, by the dest of their
 # trials flag: each flag takes its field's default, and master_seed is --seed
@@ -151,7 +149,7 @@ def _cmd_verify(args) -> int:
         **report.checks,
         "gap_matches_formula": abs(report.objective_value - gap_formula) <= args.tol,
         "gap_exceeds_mu": report.objective_value > mu,
-        "kappa_matches_spectrum": abs(inst.kappa - big / mu) <= KAPPA_RTOL * big / mu,
+        "kappa_matches_spectrum": abs(inst.kappa - big / mu) <= ZERO_RTOL * big / mu,
     }
     passed = all(checks.values())
     record = {
@@ -238,7 +236,7 @@ def _cmd_ey(args) -> int:
         reference = eckart_young.brute_force(problem)
         record["brute_force_value"] = reference
         # equal values, inf included, agree before any subtraction
-        record["agrees"] = math.isclose(solution.value, reference, rel_tol=0.0, abs_tol=1e-10)
+        record["agrees"] = math.isclose(solution.value, reference, rel_tol=ZERO_RTOL)
     _emit(record, args.out)
     if args.brute_force and not record["agrees"]:
         return 1

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matkernel import ZERO_RTOL
+
 __all__ = [
     "EYProblem",
     "EYSolution",
@@ -196,7 +198,7 @@ def ones_projection_inequality(x) -> tuple[float, float]:
         raise ValueError("x must be nonnegative")
     x_sq = float(x @ x)
     x_sum = float(x.sum())
-    if x_sum > x_sq + 1e-12:
+    if x_sum > x_sq * (1.0 + ZERO_RTOL):
         raise ValueError("hypothesis 1^T x <= ||x||^2 violated")
     lhs = x.size - x_sum * x_sum / x_sq
     rhs = float(np.sum(np.maximum(1.0 - x, 0.0) ** 2))

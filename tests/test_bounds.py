@@ -417,8 +417,32 @@ def test_sufficient_rank_crosses_the_guarantee():
                 assert kappa >= lo_prev - 1e-9
 
 
+def test_sufficient_rank_at_the_threshold_is_the_next_rank():
+    # at kappa = 1 + 2 sqrt(r/r_star) the threshold 0.25 (kappa - 1)^2 r_star
+    # is r up to rounding, and rank r is not enough; from r = 4060 at
+    # r_star = 1 an absolute slack of 1e-12 is below half an ulp, so a
+    # threshold computed one rounding below r floored to r - 1 and gave r
+    for rs in (1, 2, 3):
+        for r in range(rs, 20001):
+            assert bounds.sufficient_rank(bounds.thresholds(r, rs)[0], rs) == r + 1, (r, rs)
+
+
 def test_sufficient_rank_validation():
     with pytest.raises(ValueError):
         bounds.sufficient_rank(0.5, 1)
     with pytest.raises(ValueError):
         bounds.sufficient_rank(2.0, 0)
+
+
+@pytest.mark.parametrize(
+    "kappa, message",
+    [
+        (math.inf, "kappa must be finite and at least 1, got inf"),
+        (math.nan, "kappa must be finite and at least 1, got nan"),
+        (1e300, "rank threshold .* overflows float64"),
+    ],
+    ids=["inf", "nan", "1e300"],
+)
+def test_sufficient_rank_rejects_kappa_without_a_finite_threshold(kappa, message):
+    with pytest.raises(ValueError, match=message):
+        bounds.sufficient_rank(kappa, 1)

@@ -680,6 +680,19 @@ def test_ey_overflowing_values_agree(capsys):
     assert record["agrees"] is True
 
 
+def test_ey_agreement_is_relative(capsys):
+    # solver and oracle sum the same terms in a different order: 4.7e-10
+    # apart, which is 1.8e-16 of the value
+    rc, out, _ = run(
+        capsys, "ey", "--s", "2770.1721849571377,2770.1721849571345",
+        "--d", "247.5738511663004,249.45996397365494", "--brute-force",
+    )
+    assert rc == 0
+    record = json.loads(out)
+    assert record["value"] != record["brute_force_value"]
+    assert record["agrees"] is True
+
+
 def test_ey_rejects_unsorted_spectrum(capsys):
     rc, _, err = run(capsys, "ey", "--s", "1,2,3", "--d", "0.5,1.5")
     assert rc == 2

@@ -184,3 +184,5 @@ def test_ones_projection_inequality_validation():
         ey.ones_projection_inequality([-1.0, 2.0])
     with pytest.raises(ValueError):
         ey.ones_projection_inequality([0.5, 0.5])  # sum > ||x||^2
+    with pytest.raises(ValueError, match="hypothesis"):
+        ey.ones_projection_inequality([1e-13])  # 1e-13 > 1e-26, below any absolute slack

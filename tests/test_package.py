@@ -90,3 +90,27 @@ def test_overflow_rule_is_written_once():
         ("matkernel", "overflow_checked", "np.errstate"),
         ("dynamics", "_run_batch", "np.errstate"),
     }
+
+
+def test_small_tolerances_are_named_constants():
+    # a float below 1e-6 in the package is a tolerance or a floor: it is
+    # written once, as a module constant, and ZERO_RTOL is the one zero test
+    source = pathlib.Path(bmlandscape.__file__).parent
+    loose, named = [], set()
+    for path in source.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {
+            id(node): stmt
+            for stmt in tree.body
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            for node in ast.walk(stmt)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < abs(node.value) < 1e-6:
+                stmt = top.get(id(node))
+                if stmt is None:
+                    loose.append(f"{path.stem}:{node.lineno}: {node.value!r}")
+                else:
+                    named.update(t.id for t in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]))
+    assert loose == []
+    assert named == {"ZERO_RTOL", "PINV_TOL_SCALE", "STATIONARY_TOL", "FEASIBILITY_TOL"}
