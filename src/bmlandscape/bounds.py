@@ -35,6 +35,7 @@ __all__ = [
     "minab",
     "cos_theta_lb",
     "rank1_invariants",
+    "check_ranks",
     "thresholds",
     "sufficient_rank",
 ]
@@ -74,9 +75,16 @@ def _check_unit(alpha: float) -> float:
     return min(float(alpha), 1.0)
 
 
-def _check_ranks(r: int, r_star: int) -> None:
-    if not r >= r_star >= 1:
-        raise ValueError(f"need r >= r_star >= 1, got r={r}, r_star={r_star}")
+def check_ranks(r, r_star, n=math.inf) -> None:
+    """The one rank rule: integers, not bools, with ``1 <= r_star <= r < n``
+    and ``r < 2**53``, so r, r_star and ``q = r - r_star + 1`` are exact
+    floats and no rank formula overflows; ``n`` is a built instance's size."""
+    ints = all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in (r, r_star))
+    if not (ints and 1 <= r_star <= r < n and r < 2**53):
+        raise ValueError(
+            f"need integer ranks 1 <= r_star <= r < n, r < 2**53; "
+            f"got r_star={r_star!r}, r={r!r}, n={n!r}"
+        )
 
 
 def alpha_beta(x, z) -> AlphaBeta:
@@ -171,7 +179,7 @@ def valid_inequality(ab: AlphaBeta, r: int, r_star: int) -> tuple[bool, float]:
     ``alpha^2 + (r/r_star) * min(alpha^2, beta^2) <= 1``.  Returns the flag
     and the slack ``1 - alpha^2 - (r/r_star) * min(alpha^2, beta^2)``.
     """
-    _check_ranks(r, r_star)
+    check_ranks(r, r_star)
     a2 = ab.alpha * ab.alpha
     b2 = ab.beta * ab.beta
     slack = 1.0 - a2 - (r / r_star) * min(a2, b2)
@@ -184,7 +192,7 @@ def minab(r: int, r_star: int) -> float:
     Feeds the sufficiency threshold: condition numbers below
     ``(1 + minab)/(1 - minab) = 1 + 2 sqrt(r/r_star)`` admit no stuck pair.
     """
-    _check_ranks(r, r_star)
+    check_ranks(r, r_star)
     return 1.0 / (1.0 + math.sqrt(r_star / r))
 
 
@@ -236,7 +244,7 @@ def thresholds(r: int, r_star: int) -> tuple[float, float]:
     upper end is the one formula for that instance's condition number:
     ``counterexample.build`` and ``CounterexampleInstance.kappa`` read it.
     """
-    _check_ranks(r, r_star)
+    check_ranks(r, r_star)
     return 1.0 + 2.0 * math.sqrt(r / r_star), 1.0 + 2.0 * math.sqrt(r - r_star + 1.0)
 
 
@@ -244,8 +252,7 @@ def sufficient_rank(kappa: float, r_star: int) -> int:
     """Smallest search rank guaranteeing a benign landscape at condition number kappa."""
     if not 1.0 <= kappa < math.inf:
         raise ValueError(f"kappa must be finite and at least 1, got {kappa}")
-    if r_star < 1:
-        raise ValueError(f"r_star must be at least 1, got {r_star}")
+    check_ranks(r_star, r_star)
     threshold = overflow_checked("rank threshold 0.25 (kappa - 1)^2 r_star")(
         lambda: 0.25 * (kappa - 1.0) * (kappa - 1.0) * r_star * (1.0 + ZERO_RTOL)
     )()

@@ -154,13 +154,7 @@ def _cmd_verify(args) -> int:
     passed = all(checks.values())
     record = {
         "manifest": _manifest(args),
-        "instance": {
-            "n": inst.n,
-            "r": inst.r,
-            "r_star": inst.r_star,
-            "q": inst.q,
-            "kappa": inst.kappa,
-        },
+        "instance": {name: getattr(inst, name) for name in counterexample.DERIVED},
         "report": report.to_obj(),
         "gap_formula": gap_formula,
         "checks": checks,

@@ -20,7 +20,8 @@ one place the formula is written.  Records still carry copies of the
 derived facts, and :meth:`CounterexampleInstance.from_obj` rejects any
 copy that disagrees with its matrices, naming the field.  It also rejects
 a record that :func:`build` could not have written: a basis mode other
-than ``standard`` or ``random``, or ranks outside ``1 <= r_star <= r < n``.
+than ``standard`` or ``random``, or ranks that break
+:func:`bounds.check_ranks`.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
 # objective while keeping the curvature floor at one.
 SCALE = 2.0 ** 0.25
 BASIS_MODES = ("standard", "random")  # the frames build offers and records name
+DERIVED = ("n", "r", "r_star", "q", "kappa")  # facts of the matrices that records copy
 
 
 @dataclass(frozen=True)
@@ -98,11 +100,7 @@ class CounterexampleInstance:
     def to_obj(self) -> dict:
         return {
             "kind": "counterexample",
-            "n": self.n,
-            "r": self.r,
-            "r_star": self.r_star,
-            "q": self.q,
-            "kappa": self.kappa,
+            **{name: getattr(self, name) for name in DERIVED},
             "basis_mode": self.basis_mode,
             "seed": self.seed,
             "basis": serialize.matrix_to_lists(self.basis),
@@ -115,11 +113,11 @@ class CounterexampleInstance:
     def from_obj(cls, obj: dict) -> "CounterexampleInstance":
         """Load a record, rejecting any stored copy its matrices contradict.
 
-        A record whose ranks break ``1 <= r_star <= r < n`` is rejected
+        A record whose ranks break :func:`bounds.check_ranks` is rejected
         too, as :func:`build` rejects them: no spurious-point formula holds
         for it.  ``basis_mode`` must be one of :func:`build`'s, the JSON
-        string ``"standard"`` or ``"random"``.  The stored ``kappa`` is a
-        derived copy like ``n``, ``r``, ``r_star`` and ``q``, and must equal
+        string ``"standard"`` or ``"random"``.  The stored ``kappa`` is one
+        of the :data:`DERIVED` copies, and must equal
         ``1 + 2 sqrt(q)`` exactly; checking it against the spectrum of the
         objective would take an eigensolver call at every load, so the
         CLI's ``verify`` makes that check instead.  ``seed``, ``n``, ``r``,
@@ -133,9 +131,8 @@ class CounterexampleInstance:
             raise ValueError(
                 f"record field basis_mode={mode!r} is not {' or '.join(map(repr, BASIS_MODES))}"
             )
-        for name in ("seed", "n", "r", "r_star", "q"):
-            if type(obj[name]) is not int:
-                raise ValueError(f"record field {name}={obj[name]!r} is not an integer")
+        if type(seed) is not int:
+            raise ValueError(f"record field seed={seed!r} is not an integer")
         factors = {}
         for name in ("x_spur", "z"):
             factors[name] = f = serialize.matrix_from_lists(obj[name])
@@ -157,13 +154,11 @@ class CounterexampleInstance:
                 f"record has r={inst.r} below r_star={inst.r_star} (q={inst.q}); "
                 "an instance needs r >= r_star, so q >= 1"
             )
-        if not 1 <= inst.r_star <= inst.r < inst.n:
-            raise ValueError(
-                f"record has r_star={inst.r_star}, r={inst.r}, n={inst.n}; an "
-                "instance needs 1 <= r_star <= r < n"
-            )
-        for name in ("n", "r", "r_star", "q", "kappa"):
+        bounds.check_ranks(inst.r, inst.r_star, inst.n)
+        for name in DERIVED:
             value = getattr(inst, name)
+            if isinstance(value, int) and type(obj[name]) is not int:
+                raise ValueError(f"record field {name}={obj[name]!r} is not an integer")
             if obj[name] != value:
                 raise ValueError(
                     f"record field {name}={obj[name]!r} disagrees with its "
@@ -218,11 +213,7 @@ def build(
     n: int, r: int, r_star: int, basis_mode: str = "standard", seed: int = 0
 ) -> CounterexampleInstance:
     """Construct the hard instance for the given rank triple."""
-    if not 1 <= r_star <= r < n:
-        raise ValueError(
-            f"rank ordering must satisfy 1 <= r_star <= r < n, "
-            f"got r_star={r_star}, r={r}, n={n}"
-        )
+    bounds.check_ranks(r, r_star, n)
     q = r - r_star + 1
     kappa = bounds.thresholds(r, r_star)[1]
     u = _orthonormal_frame(n, basis_mode, seed)

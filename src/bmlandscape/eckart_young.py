@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkernel import ZERO_RTOL
+from .matkernel import ZERO_RTOL, overflow_checked
 
 __all__ = [
     "EYProblem",
@@ -176,7 +176,7 @@ def value_lower_bound(s, d, s_lb: float) -> float:
         raise ValueError("every entry of s must be at least s_lb")
     if np.any(d < 0):
         raise ValueError("d must be nonnegative")
-    d_sq = float(d @ d)
+    d_sq = float(overflow_checked("squared norm d^T d")(np.matmul)(d, d))
     if d_sq == 0.0:
         return 0.0
     d_sum = float(d.sum())
@@ -196,7 +196,7 @@ def ones_projection_inequality(x) -> tuple[float, float]:
         raise ValueError("x must be a nonzero vector")
     if np.any(x < 0):
         raise ValueError("x must be nonnegative")
-    x_sq = float(x @ x)
+    x_sq = float(overflow_checked("squared norm x^T x")(np.matmul)(x, x))
     x_sum = float(x.sum())
     if x_sum > x_sq * (1.0 + ZERO_RTOL):
         raise ValueError("hypothesis 1^T x <= ||x||^2 violated")

@@ -435,6 +435,35 @@ def test_sufficient_rank_validation():
 
 
 @pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bounds.thresholds(2.5, 1),
+        lambda: bounds.thresholds(True, True),  # a bool is no rank: (3.0, 3.0)
+        lambda: bounds.sufficient_rank(2.0, 1.5),  # returned the "rank" 1.5
+        lambda: bounds.sufficient_rank(1.0, True),  # returned True
+        lambda: bounds.thresholds(10**400, 10**399),  # OverflowError in sqrt(r / r_star)
+        lambda: bounds.valid_inequality(bounds.AlphaBeta(0.5, 0.3), 10**400, 1),
+        lambda: bounds.sufficient_rank(2.0, 10**400),  # OverflowError in the float product
+    ],
+    ids=["fractional", "bool", "fractional-r_star", "bool-r_star", "huge", "huge-inequality",
+         "huge-r_star"],
+)
+def test_check_ranks_rejects_what_is_not_an_exact_integer_rank(call):
+    with pytest.raises(ValueError, match="need integer ranks"):
+        call()
+
+
+def test_check_ranks_accepts_numpy_integers_below_two_to_the_53():
+    assert bounds.thresholds(np.int64(3), np.int32(2)) == bounds.thresholds(3, 2)
+    assert bounds.sufficient_rank(5.0, np.int64(2)) == 9
+    bounds.check_ranks(2**53 - 1, 1)
+    with pytest.raises(ValueError, match=r"r=9007199254740992, n=inf"):
+        bounds.check_ranks(2**53, 1)
+    with pytest.raises(ValueError, match=r"r_star=3, r=7, n=6"):
+        bounds.check_ranks(7, 3, 6)
+
+
+@pytest.mark.parametrize(
     "kappa, message",
     [
         (math.inf, "kappa must be finite and at least 1, got inf"),

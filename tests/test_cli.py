@@ -693,6 +693,15 @@ def test_ey_agreement_is_relative(capsys):
     assert record["agrees"] is True
 
 
+def test_ey_disagreement_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli.eckart_young, "brute_force", lambda problem: 7.0)
+    rc, out, err = run(capsys, "ey", "--s", "3,2,1", "--d", "0.5,1.5", "--brute-force")
+    assert rc == 1 and err == ""
+    record = json.loads(out)
+    assert record["value"] == pytest.approx(7.5, abs=1e-12)
+    assert record["brute_force_value"] == 7.0 and record["agrees"] is False
+
+
 def test_ey_rejects_unsorted_spectrum(capsys):
     rc, _, err = run(capsys, "ey", "--s", "1,2,3", "--d", "0.5,1.5")
     assert rc == 2
@@ -1027,6 +1036,20 @@ def test_max_iters_beyond_int64_is_named_in_the_error():
     # error, not an OverflowError from the engine
     err = _run_malformed(TRIALS + ["--max-iters", str(10**30)])
     assert err.startswith("error: max_iters must be nonnegative")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--alpha", "0.5", "--beta", "0.3", "--r", str(10**400), "--rstar", "1"],
+        ["build", "--n", str(10**400), "--r", str(10**399), "--rstar", "1"],
+    ],
+    ids=["bounds", "build"],
+)
+def test_ranks_beyond_exact_floats_are_input_error(argv):
+    # both exited 1 with an OverflowError traceback from a rank formula
+    err = _run_malformed(argv)
+    assert err.startswith("error: need integer ranks") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv,prefix", OVERSIZED, ids=["search-rank", "trials", "build-n"])

@@ -186,3 +186,16 @@ def test_ones_projection_inequality_validation():
         ey.ones_projection_inequality([0.5, 0.5])  # sum > ||x||^2
     with pytest.raises(ValueError, match="hypothesis"):
         ey.ones_projection_inequality([1e-13])  # 1e-13 > 1e-26, below any absolute slack
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ey.ones_projection_inequality([1e200]),  # returned (nan, 0.0)
+        lambda: ey.value_lower_bound([1e200], [1e200], 1e200),  # returned nan
+    ],
+    ids=["ones-projection", "value-lower-bound"],
+)
+def test_squared_norm_overflow_is_an_error(call):
+    with pytest.raises(ValueError, match=r"squared norm \w\^T \w overflows float64"):
+        call()

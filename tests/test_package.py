@@ -114,3 +114,25 @@ def test_small_tolerances_are_named_constants():
                     named.update(t.id for t in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]))
     assert loose == []
     assert named == {"ZERO_RTOL", "PINV_TOL_SCALE", "STATIONARY_TOL", "FEASIBILITY_TOL"}
+
+
+def test_every_rank_taking_function_checks_the_rank_rule():
+    # bounds.check_ranks is the one rank rule: a function with a parameter
+    # named r_star calls it, so no rank formula meets an unchecked rank
+    source = pathlib.Path(bmlandscape.__file__).parent
+    scanned, unchecked = [], []
+    for path in source.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "check_ranks":
+                continue
+            if "r_star" not in {a.arg for a in fn.args.args + fn.args.kwonlyargs}:
+                continue
+            calls = {
+                getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+            }
+            scanned.append(f"{path.stem}.{fn.name}")
+            if "check_ranks" not in calls:
+                unchecked.append(scanned[-1])
+    assert "counterexample.build" in scanned and unchecked == []
