@@ -179,9 +179,11 @@ def value_lower_bound(s, d, s_lb: float) -> float:
     d_sq = float(overflow_checked("squared norm d^T d")(np.matmul)(d, d))
     if d_sq == 0.0:
         return 0.0
-    d_sum = float(d.sum())
-    if s_lb * d_sum <= d_sq:
-        return s_lb * s_lb * d_sum * d_sum / d_sq
+    # t <= d_sq on the first branch, so t * (t / d_sq) <= d_sq is finite
+    # where t * t may overflow
+    t = s_lb * float(d.sum())
+    if t <= d_sq:
+        return t * (t / d_sq)
     return d_sq
 
 
@@ -200,6 +202,7 @@ def ones_projection_inequality(x) -> tuple[float, float]:
     x_sum = float(x.sum())
     if x_sum > x_sq * (1.0 + ZERO_RTOL):
         raise ValueError("hypothesis 1^T x <= ||x||^2 violated")
-    lhs = x.size - x_sum * x_sum / x_sq
+    # x_sum / x_sq <= 1 + ZERO_RTOL, so the product cannot overflow
+    lhs = x.size - x_sum * (x_sum / x_sq)
     rhs = float(np.sum(np.maximum(1.0 - x, 0.0) ** 2))
     return lhs, rhs

@@ -44,21 +44,19 @@ ZERO_RTOL = 1e-12
 
 def as_symmetric(s) -> np.ndarray:
     """Validate a square finite matrix and return its symmetric part."""
-    a = np.asarray(s, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = as_factor(s)
+    if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
     return 0.5 * (a + a.T)
 
 
 def as_factor(x) -> np.ndarray:
-    """Validate a rectangular finite factor matrix."""
+    """The package's one matrix check: *x* as a finite 2-d float array."""
     a = np.asarray(x, dtype=float)
     if a.ndim != 2:
-        raise ValueError(f"expected a 2-d factor matrix, got ndim {a.ndim}")
+        raise ValueError(f"expected a 2-d array, got ndim {a.ndim}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("factor entries must be finite")
+        raise ValueError("matrix entries must be finite")
     return a
 
 

@@ -26,6 +26,8 @@ from typing import Any
 
 import numpy as np
 
+from .matkernel import as_factor
+
 __all__ = [
     "format_float",
     "dumps",
@@ -121,12 +123,7 @@ def load_json(path: str) -> Any:
 
 def matrix_to_lists(m: np.ndarray) -> list:
     """Row-major nested lists for the matrix JSON exchange format."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a.tolist()
+    return as_factor(m).tolist()
 
 
 def _number_array(nested) -> np.ndarray:
@@ -146,9 +143,4 @@ def _number_array(nested) -> np.ndarray:
 
 
 def matrix_from_lists(rows: list) -> np.ndarray:
-    a = _number_array(rows)
-    if a.ndim != 2:
-        raise ValueError("expected nested lists forming a matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a.astype(float, copy=False)
+    return as_factor(_number_array(rows))

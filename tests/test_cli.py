@@ -520,6 +520,29 @@ def test_boolean_matrix_entry_is_input_error(capsys, tmp_path, command, matrix, 
     assert not (tmp_path / "cert.dat-s").exists()
 
 
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("matrix", ["basis", "x_spur", "z", "Z"])
+@pytest.mark.parametrize(
+    "case, message",
+    [("row", "expected a 2-d array, got ndim 1"), ("inf", "matrix entries must be finite")],
+)
+def test_matrix_that_is_not_finite_and_2d_is_input_error(capsys, tmp_path, command, matrix, case, message):
+    # Python's json reads Infinity, so a record can hold a non-finite entry
+    path = build_instance(capsys, tmp_path)
+    record = json.loads(path.read_text())
+    owner = record["objective"] if matrix == "Z" else record
+    if case == "row":
+        owner[matrix] = owner[matrix][0]
+    else:
+        owner[matrix][0][0] = math.inf
+    path.write_text(json.dumps(record))
+    rc, out, err = run(capsys, *instance_subcommand(command, path, tmp_path))
+    assert rc == 2
+    assert err == f"error: {path}: {message}\n"
+    assert out == ""
+    assert not (tmp_path / "cert.dat-s").exists()
+
+
 # -- bounds ------------------------------------------------------------------
 
 

@@ -199,3 +199,17 @@ def test_ones_projection_inequality_validation():
 def test_squared_norm_overflow_is_an_error(call):
     with pytest.raises(ValueError, match=r"squared norm \w\^T \w overflows float64"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        # x is parallel to 1, so the lhs is 0, but (1^T x)^2 = 5.8e308 overflows
+        (lambda: ey.ones_projection_inequality([1.2e153] * 20)[0], 0.0),  # returned -inf
+        # s_lb^2 (1^T d)^2 = 1.6e401 overflows before the division by ||d||^2
+        (lambda: ey.value_lower_bound([1e100, 1e100], [1e100, 1e100], 1e100), 2e200),  # returned inf
+    ],
+    ids=["ones-projection", "value-lower-bound"],
+)
+def test_tails_stay_finite_where_their_value_is(call, expected):
+    assert call() == pytest.approx(expected, rel=1e-15, abs=1e-13)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bmlandscape import serialize
 from bmlandscape.matkernel import (
     as_factor,
     as_symmetric,
@@ -42,6 +43,25 @@ def test_as_factor_validates():
         as_factor(np.ones(3))
     with pytest.raises(ValueError):
         as_factor(np.array([[np.nan]]))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [as_factor, as_symmetric, serialize.matrix_to_lists, serialize.matrix_from_lists],
+    ids=["as_factor", "as_symmetric", "matrix_to_lists", "matrix_from_lists"],
+)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([1.0, 2.0], r"^expected a 2-d array, got ndim 1$"),
+        ([[1.0, float("inf")], [0.0, 1.0]], r"^matrix entries must be finite$"),
+        ([[float("nan"), 0.0], [0.0, 1.0]], r"^matrix entries must be finite$"),
+    ],
+    ids=["1-d", "inf", "nan"],
+)
+def test_every_matrix_check_is_as_factor(check, bad, message):
+    with pytest.raises(ValueError, match=message):
+        check(bad)
 
 
 # -- eigendecomposition -------------------------------------------------------

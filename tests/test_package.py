@@ -92,6 +92,14 @@ def test_overflow_rule_is_written_once():
     }
 
 
+def test_matrix_check_is_written_once():
+    # matkernel.as_factor is the one test that an input is a finite 2-d
+    # matrix; every other matrix check calls it
+    source = pathlib.Path(bmlandscape.__file__).parent
+    text = "".join(path.read_text(encoding="utf-8") for path in source.glob("*.py"))
+    assert [text.count("expected a 2-d array"), text.count("matrix entries must be finite")] == [1, 1]
+
+
 def test_small_tolerances_are_named_constants():
     # a float below 1e-6 in the package is a tolerance or a floor: it is
     # written once, as a module constant, and ZERO_RTOL is the one zero test
